@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-sim bench-obs bench-codec bench-cache codec-check workers-check stats-smoke service-smoke cache-smoke metrics-smoke stream-smoke chaos-smoke selfperturb selftrace api api-check vet fmt experiments examples clean
+.PHONY: all build test race bench bench-million bench-sim bench-obs bench-codec bench-cache codec-check workers-check stats-smoke service-smoke cache-smoke metrics-smoke stream-smoke chaos-smoke selfperturb selftrace api api-check vet fmt experiments examples clean
 
 all: build test
 
@@ -17,6 +17,12 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# Million-event engine benchmarks: default Analyze vs the sharded engine,
+# and batch vs streaming sessions, with allocations — the numbers
+# EXPERIMENTS.md's event-based engine tables quote.
+bench-million:
+	$(GO) test -run '^$$' -bench 'EventBasedMillion|StreamMillion' -benchmem -benchtime 3x .
 
 # Simulator-core benchmarks only (throughput, schedules, lock-heavy),
 # with allocation counts — the numbers EXPERIMENTS.md quotes.

@@ -13,15 +13,15 @@ import (
 	"perturb/internal/testgen"
 )
 
-// Million-event benchmarks for the sharded event-based engine against the
-// sequential worklist fixpoint.
+// Million-event benchmarks for the default (incremental) event-based
+// engine against the sharded engine.
 //
 // The workload is a backward-wave DOACROSS: iteration i runs on processor
 // P-1-(i mod P), so the cross-iteration dependency chain snakes against
-// the fixpoint's processor scan order. The sequential analysis then
-// resolves only one iteration per full pass — its worst case, with
-// O(iterations x processors) blocked re-checks — while the sharded engine
-// performs exactly one wakeup per dependency edge and merges the finished
+// any forward processor scan order. A scheduler that re-scanned every
+// processor would resolve only one iteration per scan; both engines
+// instead park a blocked processor on exactly the event it waits for,
+// perform one wakeup per dependency edge, and merge the finished
 // per-processor runs instead of re-sorting the whole trace.
 
 const (

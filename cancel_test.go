@@ -38,8 +38,8 @@ func cancelCal(cfg perturb.MachineConfig) perturb.Calibration {
 	return perturb.ExactCalibration(perturb.PaperOverheads(), cfg)
 }
 
-// analysisVariants covers both execution engines: the sequential resolver
-// and the sharded parallel scheduler.
+// analysisVariants covers both execution engines: the default incremental
+// engine and the sharded parallel scheduler.
 func analysisVariants() map[string]perturb.AnalyzeOptions {
 	return map[string]perturb.AnalyzeOptions{
 		"sequential": {},

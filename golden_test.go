@@ -250,7 +250,7 @@ func TestGoldenEncodings(t *testing.T) {
 }
 
 // TestGoldenAnalysis pins the event-based analysis output on each shape,
-// for the sequential fixpoint and the sharded engine alike.
+// for the default incremental engine and the sharded engine alike.
 func TestGoldenAnalysis(t *testing.T) {
 	cal := goldenCal()
 	for name, tr := range goldenTraces() {

@@ -148,7 +148,7 @@ func TestKeyDiscriminates(t *testing.T) {
 	}
 
 	// Workers is excluded by design: the sharded engine is byte-identical
-	// to the sequential fixpoint at every worker count.
+	// to the default engine at every worker count.
 	for _, workers := range []int{-1, 1, 8} {
 		k, _, err := Key(tr, cal, core.Options{Workers: workers})
 		if err != nil {

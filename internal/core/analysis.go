@@ -27,8 +27,9 @@
 package core
 
 import (
+	"cmp"
 	"errors"
-	"fmt"
+	"slices"
 
 	"perturb/internal/instr"
 	"perturb/internal/trace"
@@ -151,129 +152,99 @@ var ErrUnresolvable = errors.New("core: analysis cannot resolve all events")
 // under the liberal analysis, or a missing loop/barrier structure).
 var ErrUnsupported = errors.New("core: trace shape not supported by this analysis")
 
-// resolver carries the shared mechanics of constructive trace resolution.
-type resolver struct {
-	in  *trace.Trace
-	cal instr.Calibration
-
-	perProc [][]int // event indices per processor, in trace order
-	ta      []trace.Time
-	done    []bool
-
-	// Fork fences: every loop-begin event. A processor's first event
-	// after a fence (in trace order) is execution dependent on the fence
-	// rather than on its own, possibly long-idle, previous event — this
-	// is what anchors concurrent threads at each phase's fork. forkIdx
-	// is the first fence (-1 if none); forkIdxs lists all of them.
-	forkIdx  int
-	forkIdxs []int
-}
-
-func newResolver(in *trace.Trace, cal instr.Calibration) (*resolver, error) {
-	if err := in.Validate(); err != nil {
-		return nil, fmt.Errorf("core: invalid input trace: %w", err)
-	}
-	r := &resolver{
-		in:      in,
-		cal:     cal,
-		perProc: make([][]int, in.Procs),
-		ta:      make([]trace.Time, in.Len()),
-		done:    make([]bool, in.Len()),
-		forkIdx: -1,
-	}
-	for i, e := range in.Events {
-		r.perProc[e.Proc] = append(r.perProc[e.Proc], i)
-		if e.Kind == trace.KindLoopBegin {
-			if r.forkIdx < 0 {
-				r.forkIdx = i
-			}
-			r.forkIdxs = append(r.forkIdxs, i)
-		}
-	}
-	return r, nil
-}
-
-// fenceBetween returns the latest fork fence with trace index strictly
-// between prevIdx and idx that lies on a different processor than proc, or
-// -1 if none. Fences on the same processor are part of that processor's
-// own chain and never apply.
-func (r *resolver) fenceBetween(prevIdx, idx, proc int) int {
-	// forkIdxs is in increasing order; scan from the back (fence counts
-	// are tiny: one per loop phase).
-	for k := len(r.forkIdxs) - 1; k >= 0; k-- {
-		f := r.forkIdxs[k]
-		if f >= idx {
+// mergeRuns merges per-processor event runs into the canonical
+// (Time, Proc, Stmt) order with original-index tie-breaking — exactly the
+// permutation Trace.Sort's stable sort produces — re-timing each event
+// with ta (indexed like events). runs[p] lists processor p's event
+// indices in trace order; the runs are reordered in place.
+//
+// Restricted to one processor, the canonical order is (time, stmt) with
+// trace order breaking ties, so each run is first brought into that order
+// (sortRun). The merge then compares run heads by time only: an ascending
+// processor scan resolves time ties toward the lower processor, and a run
+// keeps emitting while its next event still precedes every other head.
+func mergeRuns(events *eventStore, runs [][]int, ta []trace.Time) []trace.Event {
+	// Live runs in ascending processor order, with their head times.
+	var live [][]int
+	var heads []trace.Time
+	total := 0
+	for _, run := range runs {
+		if len(run) == 0 {
 			continue
 		}
-		if f <= prevIdx {
-			return -1
+		sortRun(events, run, ta)
+		live = append(live, run)
+		heads = append(heads, ta[run[0]])
+		total += len(run)
+	}
+	out := make([]trace.Event, total)
+	n := 0
+	for len(live) > 0 {
+		// The earliest head (lowest run on ties) and the runner-up.
+		best, next := 0, -1
+		for j := 1; j < len(heads); j++ {
+			if heads[j] < heads[best] {
+				best, next = j, best
+			} else if next < 0 || heads[j] < heads[next] {
+				next = j
+			}
 		}
-		if r.in.Events[f].Proc != proc {
-			return f
+		run := live[best]
+		i := 0
+		for {
+			idx := run[i]
+			out[n] = *events.at(idx)
+			out[n].Time = ta[idx]
+			n++
+			i++
+			if i == len(run) {
+				break
+			}
+			t := ta[run[i]]
+			if next >= 0 && (t > heads[next] || (t == heads[next] && next < best)) {
+				break
+			}
+		}
+		if i == len(run) {
+			live = append(live[:best], live[best+1:]...)
+			heads = append(heads[:best], heads[best+1:]...)
+		} else {
+			live[best] = run[i:]
+			heads[best] = ta[run[i]]
 		}
 	}
-	return -1
+	return out
 }
 
-// overhead returns the calibrated probe cost for the event kind.
-func (r *resolver) overhead(k trace.Kind) trace.Time {
-	return r.cal.Overheads.ForKind(k)
-}
-
-// basis returns the time basis (approximated time, measured time) for the
-// event at position pos within proc's event list, and whether the basis is
-// available yet. The basis is the same-processor predecessor, unless a
-// fork fence (loop-begin) separates the two in trace order — then the
-// fence is the basis, anchoring the processor at that phase's fork.
-func (r *resolver) basis(proc, pos int) (ta, tm trace.Time, ok bool) {
-	idx := r.perProc[proc][pos]
-	prevIdx := -1
-	if pos > 0 {
-		prevIdx = r.perProc[proc][pos-1]
+// sortRun orders one processor's run of event indices by (ta, stmt),
+// stable in trace order. Approximated per-processor times are
+// non-decreasing almost everywhere — the exceptions are local, such as
+// zero-gap events with decreasing statement ids — so an insertion pass
+// does the work in near-linear time; a run that turns out badly out of
+// order is finished by the library's stable sort.
+func sortRun(events *eventStore, run []int, ta []trace.Time) {
+	before := func(a, b int) bool { // a strictly precedes b
+		return ta[a] < ta[b] || (ta[a] == ta[b] && events.at(a).Stmt < events.at(b).Stmt)
 	}
-	if f := r.fenceBetween(prevIdx, idx, proc); f >= 0 {
-		if !r.done[f] {
-			return 0, 0, false
+	budget := len(run)
+	for i := 1; i < len(run); i++ {
+		x := run[i]
+		if !before(x, run[i-1]) {
+			continue
 		}
-		return r.ta[f], r.in.Events[f].Time, true
-	}
-	if prevIdx >= 0 {
-		if !r.done[prevIdx] {
-			return 0, 0, false
+		j := i
+		for ; j > 0 && before(x, run[j-1]); j-- {
+			run[j] = run[j-1]
 		}
-		return r.ta[prevIdx], r.in.Events[prevIdx].Time, true
+		run[j] = x
+		if budget -= i - j; budget < 0 {
+			slices.SortStableFunc(run, func(a, b int) int {
+				if c := cmp.Compare(ta[a], ta[b]); c != 0 {
+					return c
+				}
+				return cmp.Compare(events.at(a).Stmt, events.at(b).Stmt)
+			})
+			return
+		}
 	}
-	return 0, 0, true
-}
-
-// resolveDefault applies the execution-timing rule: the approximated time
-// is the basis plus the measured gap minus the event's probe overhead.
-func (r *resolver) resolveDefault(idx int, taBase, tmBase trace.Time) {
-	e := r.in.Events[idx]
-	gap := e.Time - tmBase - r.overhead(e.Kind)
-	if gap < 0 {
-		// Calibration error can slightly exceed a short measured gap;
-		// clamp so approximated per-thread time stays monotonic.
-		gap = 0
-	}
-	r.ta[idx] = taBase + gap
-	r.done[idx] = true
-}
-
-// finish assembles the Approximation from resolved times.
-func (r *resolver) finish() *Approximation {
-	a := &Approximation{
-		Trace: trace.New(r.in.Procs),
-		Times: r.ta,
-	}
-	// No renormalization: the basis rule anchors each thread at the
-	// execution origin (time zero), so approximated times are already in
-	// actual-execution coordinates.
-	for i, e := range r.in.Events {
-		e.Time = r.ta[i]
-		a.Trace.Append(e)
-	}
-	a.Trace.Sort()
-	a.Duration = a.Trace.End()
-	return a
 }

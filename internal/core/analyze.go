@@ -39,18 +39,19 @@ func (m Mode) String() string {
 	}
 }
 
-// Options configures Analyze. The zero value requests the classic
-// sequential event-based analysis of a well-formed trace — exactly
+// Options configures Analyze. The zero value requests the event-based
+// analysis of a well-formed trace on the incremental engine — exactly
 // EventBased's behaviour.
 type Options struct {
 	// Mode selects the analysis family. Default: ModeEventBased.
 	Mode Mode
 
 	// Workers selects the event-based execution engine. 0 (default) runs
-	// the classic sequential fixpoint; n >= 1 runs the sharded
-	// dependency-scheduled engine with n workers; a negative value runs
-	// the sharded engine with GOMAXPROCS workers. Ignored by the
-	// time-based and liberal modes, which are inherently sequential.
+	// the incremental park/wake engine the streaming sessions share; n >= 1
+	// runs the sharded dependency-scheduled engine with n workers; a
+	// negative value runs the sharded engine with GOMAXPROCS workers. The
+	// outputs are byte-identical. Ignored by the time-based and liberal
+	// modes.
 	Workers int
 
 	// Repair sanitizes the trace with trace.Repair before analysis and
@@ -80,11 +81,11 @@ func Analyze(m *trace.Trace, cal instr.Calibration, opts Options) (*Approximatio
 }
 
 // AnalyzeContext is Analyze under a context: the analysis polls ctx
-// cooperatively (between fixpoint passes, at scheduler park/wake
-// transitions, and every few thousand events inside the hot resolution
-// loops) and abandons the run with ErrCanceled or ErrDeadlineExceeded —
-// matching both the package sentinels and the context causes under
-// errors.Is — without returning a partial Approximation. A background
+// cooperatively (at scheduler park/wake transitions, and every few
+// thousand events inside the hot resolution loops) and abandons the run
+// with ErrCanceled or ErrDeadlineExceeded — matching both the package
+// sentinels and the context causes under errors.Is — without returning a
+// partial Approximation. A background
 // context reproduces Analyze exactly.
 func AnalyzeContext(ctx context.Context, m *trace.Trace, cal instr.Calibration, opts Options) (*Approximation, error) {
 	if err := cancel.Err(ctx); err != nil {
@@ -121,10 +122,10 @@ func AnalyzeContext(ctx context.Context, m *trace.Trace, cal instr.Calibration, 
 	return a, nil
 }
 
-// analyzeEventBased dispatches between the sequential fixpoint and the
+// analyzeEventBased dispatches between the incremental engine and the
 // sharded engine, honoring Options.Workers, and falls back to the
-// sequential degraded analysis when the engine cannot resolve a repaired
-// trace (the engine has no stall-breaking).
+// incremental degraded analysis when the sharded engine cannot resolve a
+// repaired trace (it has no stall-breaking).
 func analyzeEventBased(ctx context.Context, m *trace.Trace, cal instr.Calibration, opts Options) (*Approximation, error) {
 	degraded := opts.Repair
 	if opts.Workers == 0 {
@@ -132,7 +133,7 @@ func analyzeEventBased(ctx context.Context, m *trace.Trace, cal instr.Calibratio
 	}
 	a, err := eventBasedParallel(ctx, m, cal, opts.Workers, degraded)
 	if degraded && errors.Is(err, ErrUnresolvable) {
-		// Only the sequential analysis can break resolution stalls.
+		// Only the incremental engine can break resolution stalls.
 		return eventBased(ctx, m, cal, degraded)
 	}
 	return a, err

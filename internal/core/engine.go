@@ -13,17 +13,15 @@ import (
 const cancelCheckStride = cancel.CheckEvery
 
 // This file implements the sharded event-based analysis engine behind
-// EventBasedParallel. Where the classic EventBased fixpoint repeatedly
-// re-scans all processors until no further progress is possible, the engine
-// precomputes the dependency graph of the trace once — every event's
-// same-thread (or fork-fence) basis, the advance each awaitE resolves
-// against, the previous holder's release each lock acquisition serializes
-// on, and each barrier release's arrival set — and then advances
-// per-processor shards: a shard resolves its processor's events in order
+// EventBasedParallel. Where the incremental engine behind EventBased
+// discovers dependencies as events arrive, this engine precomputes the
+// dependency graph of the trace once — every event's same-thread (or
+// fork-fence) basis, the advance each awaitE resolves against, the
+// previous holder's release each lock acquisition serializes on, and each
+// barrier release's arrival set — and then advances per-processor shards: a shard resolves its processor's events in order
 // until it blocks on an unresolved cross-shard dependency, parks on exactly
 // that event, and is rescheduled when the producing shard publishes the
-// resolved time. Total scheduling work is O(events + dependencies) instead
-// of O(events x passes).
+// resolved time. Total scheduling work is O(events + dependencies).
 //
 // The resolution rules are the ones documented on EventBased; the two
 // implementations are deliberately kept separate so that the property
@@ -417,12 +415,9 @@ func (g *ebEngine) remaining() int {
 	return n
 }
 
-// finish assembles the Approximation. Per-processor approximated times are
-// monotonic in the common case, so the canonical (Time, Proc, Stmt) order
-// is produced by a P-way merge of the per-processor runs; when a run is
-// not sorted (barrier releases may be re-timed before their predecessor),
-// it falls back to the stable sort the sequential analysis uses. Both
-// paths produce the identical canonical order.
+// finish assembles the Approximation, producing the canonical (Time, Proc,
+// Stmt) order by a P-way merge of the per-processor runs (mergeRuns,
+// shared with the incremental engine).
 func (g *ebEngine) finish() *Approximation {
 	a := &Approximation{
 		Trace: trace.New(g.in.Procs),
@@ -450,69 +445,8 @@ func (g *ebEngine) finish() *Approximation {
 		a.Confidence = conf
 	}
 
-	if merged := g.mergeRuns(); merged != nil {
-		a.Trace.Events = merged
-	} else {
-		// Fallback: clone with approximated times and stable-sort, as
-		// the sequential resolver does.
-		for i, e := range g.in.Events {
-			e.Time = g.ta[i]
-			a.Trace.Append(e)
-		}
-		a.Trace.Sort()
-	}
+	evs := storeOf(g.in.Events)
+	a.Trace.Events = mergeRuns(&evs, g.deps.perProc, g.ta)
 	a.Duration = a.Trace.End()
 	return a
-}
-
-// mergeRuns merges the per-processor event runs into the canonical
-// (Time, Proc, Stmt) order with original-index tie-breaking — exactly the
-// permutation Trace.Sort's stable sort produces — or returns nil if some
-// run is not itself sorted under that order (checked as the merge
-// advances). Two observations keep the loop tight: distinct runs never
-// share a processor, so comparing heads reduces to (time, proc), and the
-// ascending processor scan resolves time ties toward the lower processor
-// for free; within a run, trace order supplies the (stmt, original
-// index) tie-breaking as long as (time, stmt) is non-decreasing — the
-// condition verified before each head advances.
-func (g *ebEngine) mergeRuns() []trace.Event {
-	events := g.in.Events
-	procs := len(g.deps.perProc)
-	pos := make([]int, procs)
-	heads := make([]trace.Time, procs)
-	remaining := 0
-	for p, list := range g.deps.perProc {
-		if len(list) > 0 {
-			heads[p] = g.ta[list[0]]
-			remaining += len(list)
-		}
-	}
-	out := make([]trace.Event, 0, len(events))
-	for ; remaining > 0; remaining-- {
-		best := -1
-		var bestT trace.Time
-		for p := 0; p < procs; p++ {
-			if pos[p] >= len(g.deps.perProc[p]) {
-				continue
-			}
-			if best < 0 || heads[p] < bestT {
-				best, bestT = p, heads[p]
-			}
-		}
-		list := g.deps.perProc[best]
-		idx := list[pos[best]]
-		e := events[idx]
-		e.Time = bestT
-		out = append(out, e)
-		pos[best]++
-		if pos[best] < len(list) {
-			next := list[pos[best]]
-			nextT := g.ta[next]
-			if nextT < bestT || (nextT == bestT && events[next].Stmt < events[idx].Stmt) {
-				return nil // run not sorted; fall back to the stable sort
-			}
-			heads[best] = nextT
-		}
-	}
-	return out
 }

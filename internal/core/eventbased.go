@@ -33,15 +33,16 @@ import (
 //
 // Because an awaitE cannot be resolved before its paired advance — which
 // typically occurs on another processor and possibly later in the measured
-// total order — resolution is a worklist fixpoint over processors: each
-// pass resolves every processor's events up to its first blocked
-// synchronization event, and terminates when all events are resolved or no
-// progress is possible (ErrUnresolvable).
+// total order — resolution is scheduled per processor: each processor
+// resolves its events in order until one blocks on a synchronization
+// dependency, parks on exactly that dependency, and resumes when it
+// resolves. The analysis ends when all events are resolved or no progress
+// is possible (ErrUnresolvable).
 func EventBased(m *trace.Trace, cal instr.Calibration) (*Approximation, error) {
 	return eventBased(context.Background(), m, cal, false)
 }
 
-// eventBased is the sequential worklist analysis: a feed-everything-
+// eventBased is the default event-based analysis: a feed-everything-
 // then-close run of the incremental engine (stream.go), where the
 // resolution rules live, shared with the streaming sessions. Sealing is
 // off — with the whole trace fed before close, absence decisions are
@@ -72,8 +73,5 @@ func eventBased(ctx context.Context, m *trace.Trace, cal instr.Calibration, degr
 		retain:     true,
 		fixedProcs: true,
 	})
-	if err := g.feed(ctx, m.Events); err != nil {
-		return nil, err
-	}
-	return g.close(ctx)
+	return g.analyze(ctx, m.Events)
 }

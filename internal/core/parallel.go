@@ -74,10 +74,10 @@ func (g *ebEngine) flushTelemetry(st *schedStats) {
 // only in how resolution work is scheduled.
 //
 // workers <= 0 selects GOMAXPROCS workers; workers == 1 runs the sharded
-// engine on the calling goroutine (no locking), which is also the fastest
-// sequential configuration: unlike EventBased's repeated re-scan passes,
-// the scheduler performs O(events + dependencies) work regardless of how
-// dependency chains snake across processors.
+// engine on the calling goroutine (no locking). Like EventBased's
+// park/wake scheduling, the scheduler performs O(events + dependencies)
+// work regardless of how dependency chains snake across processors; the
+// sharded engine additionally precomputes the whole dependency graph.
 func EventBasedParallel(m *trace.Trace, cal instr.Calibration, workers int) (*Approximation, error) {
 	return eventBasedParallel(context.Background(), m, cal, workers, false)
 }

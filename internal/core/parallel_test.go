@@ -58,8 +58,8 @@ func assertSameApproximation(t *testing.T, label string, want *core.Approximatio
 
 // TestParallelMatchesSequentialProperty: across randomized loop programs,
 // machine configurations (processor counts, schedules) and worker counts,
-// the sharded engine's output is byte-identical to the sequential
-// fixpoint's — approximated times, canonical order, statistics, and
+// the sharded engine's output is byte-identical to the default incremental
+// engine's — approximated times, canonical order, statistics, and
 // errors alike.
 func TestParallelMatchesSequentialProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(1991))

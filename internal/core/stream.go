@@ -8,6 +8,7 @@ import (
 
 	"perturb/internal/cancel"
 	"perturb/internal/instr"
+	"perturb/internal/obs"
 	"perturb/internal/trace"
 )
 
@@ -120,16 +121,22 @@ type engineOptions struct {
 	fixedProcs bool
 }
 
-// advRec is the pairing record of the first advance seen for a PairKey.
+// advRec is the pairing record of one (variable, iteration) key: the
+// first advance fed for it, and the awaits parked on it.
 type advRec struct {
-	ta   trace.Time
-	done bool
+	ta     trace.Time
+	seq    int   // arrival position+1 of the first advance fed; 0 = none yet
+	wait   int32 // waiter list: awaits blocked on this key
+	done   bool  // the first advance resolved
+	sealed bool  // an await resolved mid-stream on the absent-partner path
 }
 
 // relRec is the resolution record of a lock-rel event, referenced by the
 // following acquisition of the same lock.
 type relRec struct {
+	seq  int
 	ta   trace.Time
+	wait int32 // waiter list: the acquisition blocked on this release
 	done bool
 }
 
@@ -138,6 +145,7 @@ type barRec struct {
 	fed      int        // arrive events fed so far
 	resolved int        // arrive events resolved so far
 	maxTA    trace.Time // max approximated arrival over resolved participants
+	wait     int32      // waiter list: releases blocked on unresolved participants
 	sealed   bool       // a release resolved mid-stream against this set
 }
 
@@ -147,34 +155,36 @@ type fenceRec struct {
 	proc int
 	tm   trace.Time
 	ta   trace.Time
+	wait int32 // waiter list: heads whose basis is this fence
 	done bool
 }
 
-// pend is one unresolved event waiting in its processor's queue.
-type pend struct {
-	seq     int
-	ev      trace.Event
-	prevRel int     // KindLockAcq: seq of the previous holder's lock-rel, -1 if first
-	adv     *advRec // KindAdvance: pairing record to fill on resolution (nil for duplicates)
-	bar     *barRec // KindBarrierArrive: barrier to fold into on resolution
-	fence   int     // KindLoopBegin: index into fences
-}
+// Processor scheduling states.
+const (
+	procIdle   uint8 = iota // queue empty (or being resolved by pass)
+	procReady               // on the ready worklist
+	procParked              // head blocked; a wake source will make it ready
+)
 
 // procState is one processor's frontier: the resolved prefix is
 // summarized by (prevSeq, taPrev, tmPrev); the unresolved suffix waits in
-// queue[qhead:].
+// queue[qhead:] as arrival positions. In batch mode the queue is sized to
+// the processor's event count up front and never compacted, so at finish
+// it lists every event of the processor in order.
 type procState struct {
-	queue   []pend
+	queue   []int
+	evq     []trace.Event // low-memory mode: the queued events, parallel to queue
 	qhead   int
 	prevSeq int
 	taPrev  trace.Time
 	tmPrev  trace.Time
-	events  int // events fed (Confidence denominator)
+	events  int    // events fed (Confidence denominator)
+	gen     uint32 // bumped on every wake; parks recorded under an older gen are stale
+	state   uint8
 }
 
 // resolveNote carries one event's resolution to the window accumulator.
 type resolveNote struct {
-	ev         trace.Event
 	ta         trace.Time
 	waiting    trace.Time
 	kept       int
@@ -185,10 +195,13 @@ type resolveNote struct {
 
 // winAcc accumulates one window's statistics as its events resolve.
 type winAcc struct {
+	k        int // window index
+	pending  int // fed-but-unresolved events, counted while the window is unemitted
 	events   int
 	impaired int
 	waiting  trace.Time
-	procs    map[int]*winProcAcc
+	active   int          // processors with at least one event
+	procs    []winProcAcc // by processor id; events == 0 marks an inactive one
 }
 
 type winProcAcc struct {
@@ -200,25 +213,31 @@ type winProcAcc struct {
 
 // engine is the incremental resolution engine. It is not safe for
 // concurrent use; the facade's StreamAnalyzer adds the locking.
+//
+// Scheduling is park/wake: a queue head that cannot resolve parks on
+// exactly what it waits for — a fork fence, an advance's pairing record,
+// the previous holder's release, a barrier's participant count, or (for
+// an optimistic absence decision) the watermark passing its measured
+// time — and the event that supplies it pushes the processor onto the
+// ready worklist. pass drains only that worklist, so each event is
+// probed O(1) times instead of once per pass over every processor.
 type engine struct {
 	cal  instr.Calibration
 	opts engineOptions
 
 	ps        []procState
 	fences    []fenceRec
-	advances  map[trace.PairKey]*advRec
-	rels      map[int]*relRec
-	lastRel   map[int]int // lock var -> seq of latest lock-rel fed
-	barriers  map[trace.PairKey]*barRec
+	advances  pairTable[advRec]
+	barriers  pairTable[barRec]
+	locks     lockTable
 	validator *trace.EventValidator
 
-	// sealedAwaits records PairKeys whose awaitE resolved mid-stream on
-	// the absent-partner path; a later advance for one of these is the
-	// contradiction that forces a redo.
-	sealedAwaits map[trace.PairKey]bool
-	// sealedBarriers records pairs whose release resolved mid-stream
-	// before any participant was fed.
-	sealedBarriers map[trace.PairKey]bool
+	ready   []int    // processors whose head may be resolvable
+	waiters []waiter // pooled waiter-list nodes, linked from the records
+	freeW   int32    // index+1 of the first free waiter node, 0 = none
+	wmParks wmHeap   // absence parks waiting for the watermark to pass them
+
+	parks, wakes, redos int64 // telemetry, flushed once per run
 
 	n         int // events fed
 	remaining int // events fed but not resolved
@@ -226,6 +245,9 @@ type engine struct {
 	sorted    bool
 	closed    bool
 	needRedo  bool
+	// nested marks the exact re-run inside redo: its telemetry is
+	// folded into the outer run's instead of being flushed separately.
+	nested bool
 
 	maxTA trace.Time
 
@@ -236,40 +258,33 @@ type engine struct {
 	// close; otherwise window k covers [k*slide, k*slide+window) in
 	// measured time.
 	window, slide trace.Time
-	winAccs       map[int]*winAcc
-	winPending    map[int]int // fed-but-unresolved events per window index
-	winMaxIdx     int         // largest window index any fed event touches
-	winNext       int         // next window index to consider for emission
+	wins          []winAcc // every window touched so far, ordered by index
+	winFront      int      // wins[winFront:] are the windows at or after winNext
+	winMaxIdx     int      // largest window index any fed event touches
+	winNext       int      // next window index to consider for emission
 	winQ          []WindowResult
 	winAmended    map[int]bool         // emitted windows that later received events
 	drainedWin    map[int]WindowResult // last content handed out per index
 
-	// Retained input (opts.retain): events in arrival order with their
-	// resolution state, for finish() and for the exact redo pass.
-	all     []trace.Event
-	taAll   []trace.Time
-	doneAll []bool
+	// Events by arrival position: views of the analyzed trace itself in
+	// batch mode (borrowed, read-only), the retained feed in a retaining
+	// session, empty in low-memory mode. taAll holds their approximated
+	// times.
+	evs   eventStore
+	batch bool
+	taAll []trace.Time
 
 	sinceCheck int
 }
 
 func newIncEngine(procs int, cal instr.Calibration, opts engineOptions) *engine {
 	g := &engine{
-		cal:            cal,
-		opts:           opts,
-		advances:       make(map[trace.PairKey]*advRec),
-		rels:           make(map[int]*relRec),
-		lastRel:        make(map[int]int),
-		barriers:       make(map[trace.PairKey]*barRec),
-		sealedAwaits:   make(map[trace.PairKey]bool),
-		sealedBarriers: make(map[trace.PairKey]bool),
-		winAccs:        make(map[int]*winAcc),
-		winPending:     make(map[int]int),
-		winMaxIdx:      -1,
-		winAmended:     make(map[int]bool),
-		drainedWin:     make(map[int]WindowResult),
-		watermark:      math.MinInt64,
-		sorted:         true,
+		cal:        cal,
+		opts:       opts,
+		winMaxIdx:  -1,
+		drainedWin: make(map[int]WindowResult),
+		watermark:  math.MinInt64,
+		sorted:     true,
 	}
 	if opts.fixedProcs {
 		g.ps = make([]procState, procs)
@@ -294,85 +309,139 @@ func (g *engine) setWindows(window, slide trace.Time) {
 
 func (g *engine) procs() int { return len(g.ps) }
 
+// analyze runs the engine over a whole trace: feed everything, then
+// close.
+func (g *engine) analyze(ctx context.Context, events []trace.Event) (*Approximation, error) {
+	if err := g.feedAll(ctx, events); err != nil {
+		return nil, err
+	}
+	return g.close(ctx)
+}
+
+// feedAll feeds a whole trace in batch mode. Knowing the input up front,
+// it reads the events in place instead of copying them, and sizes every
+// processor queue and the result times exactly, once.
+func (g *engine) feedAll(ctx context.Context, events []trace.Event) error {
+	g.evs, g.batch = storeOf(events), true
+	counts := make([]int, len(g.ps))
+	for i := range events {
+		p := events[i].Proc
+		if p < 0 || (g.opts.fixedProcs && p >= len(counts)) {
+			continue // rejected by validation when reached
+		}
+		for p >= len(counts) {
+			counts = append(counts, 0)
+		}
+		counts[p]++
+	}
+	for len(g.ps) < len(counts) {
+		g.ps = append(g.ps, procState{prevSeq: -1})
+	}
+	backing := make([]int, len(events))
+	off := 0
+	for p, c := range counts {
+		g.ps[p].queue = backing[off : off : off+c]
+		off += c
+	}
+	if len(events) > 0 {
+		g.taAll = make([]trace.Time, len(events))
+	}
+	for i := range events {
+		if err := g.feedOne(ctx, &events[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // feed ingests events in arrival order, validating each, and resolves
 // everything their arrival makes resolvable. Each event is processed
 // individually so resolution decisions (and therefore emitted windows)
 // depend only on the event sequence, never on how the caller chunked it.
 func (g *engine) feed(ctx context.Context, events []trace.Event) error {
-	for _, e := range events {
-		if err := g.validator.Check(e); err != nil {
-			return fmt.Errorf("core: invalid input trace: %w", err)
-		}
-		seq := g.n
-		g.n++
-		g.remaining++
-		if g.opts.retain {
-			g.all = append(g.all, e)
-			g.taAll = append(g.taAll, 0)
-			g.doneAll = append(g.doneAll, false)
-		}
-		if seq > 0 && e.Time < g.watermark {
-			g.sorted = false
-		}
-		if e.Time > g.watermark {
-			g.watermark = e.Time
-		}
-		for e.Proc >= len(g.ps) {
-			g.ps = append(g.ps, procState{prevSeq: -1})
-		}
-		ps := &g.ps[e.Proc]
-		ps.events++
-
-		kmin, kmax := g.winRange(e.Time)
-		for k := kmin; k <= kmax; k++ {
-			g.winPending[k]++
-		}
-		if kmax > g.winMaxIdx {
-			g.winMaxIdx = kmax
-		}
-
-		pe := pend{seq: seq, ev: e, prevRel: -1, fence: -1}
-		switch e.Kind {
-		case trace.KindAdvance:
-			k := e.Pair()
-			if g.sealedAwaits[k] {
-				g.needRedo = true
-			}
-			if _, dup := g.advances[k]; !dup {
-				rec := &advRec{}
-				g.advances[k] = rec
-				pe.adv = rec
-			}
-		case trace.KindBarrierArrive:
-			k := e.Pair()
-			b := g.barriers[k]
-			if b == nil {
-				b = &barRec{}
-				g.barriers[k] = b
-			}
-			if b.sealed || g.sealedBarriers[k] {
-				g.needRedo = true
-			}
-			b.fed++
-			pe.bar = b
-		case trace.KindLockAcq:
-			if ri, ok := g.lastRel[e.Var]; ok {
-				pe.prevRel = ri
-			}
-		case trace.KindLockRel:
-			g.rels[seq] = &relRec{}
-			g.lastRel[e.Var] = seq
-		case trace.KindLoopBegin:
-			pe.fence = len(g.fences)
-			g.fences = append(g.fences, fenceRec{seq: seq, proc: e.Proc, tm: e.Time})
-		}
-		ps.queue = append(ps.queue, pe)
-
-		if err := g.pass(ctx); err != nil {
+	for i := range events {
+		if err := g.feedOne(ctx, &events[i]); err != nil {
 			return err
 		}
-		g.emitWindows()
 	}
+	return nil
+}
+
+// feedOne ingests the next event: records it, wakes whatever its arrival
+// unblocks, and resolves everything resolvable before returning.
+func (g *engine) feedOne(ctx context.Context, e *trace.Event) error {
+	if err := g.validator.Check(*e); err != nil {
+		return fmt.Errorf("core: invalid input trace: %w", err)
+	}
+	seq := g.n
+	g.n++
+	g.remaining++
+	if g.opts.retain && !g.batch {
+		g.evs.push(*e)
+		g.taAll = append(g.taAll, 0)
+	}
+	if seq > 0 && e.Time < g.watermark && g.sorted {
+		// Absence is now only decidable at close, which wakes every
+		// parked head; the watermark parks are moot.
+		g.sorted = false
+		g.wmParks = g.wmParks[:0]
+	}
+	if e.Time > g.watermark {
+		g.watermark = e.Time
+		for len(g.wmParks) > 0 && g.wmParks[0].t < g.watermark {
+			w := g.wmParks.pop()
+			g.wake(int(w.proc), w.gen)
+		}
+	}
+	for e.Proc >= len(g.ps) {
+		g.ps = append(g.ps, procState{prevSeq: -1})
+	}
+	ps := &g.ps[e.Proc]
+	ps.events++
+
+	kmin, kmax := g.winRange(e.Time)
+	for k := kmin; k <= kmax; k++ {
+		if w := g.winAt(k); k >= g.winNext {
+			w.pending++
+		}
+	}
+	if kmax > g.winMaxIdx {
+		g.winMaxIdx = kmax
+	}
+
+	switch e.Kind {
+	case trace.KindAdvance:
+		rec := g.advances.get(e.Var, e.Iter, true)
+		if rec.sealed {
+			g.needRedo = true
+		}
+		if rec.seq == 0 {
+			rec.seq = seq + 1
+			g.wakeList(&rec.wait) // awaits that could not yet rule the advance out
+		}
+	case trace.KindBarrierArrive:
+		b := g.barriers.get(e.Var, e.Iter, true)
+		if b.sealed {
+			g.needRedo = true
+		}
+		b.fed++
+	case trace.KindLockRel:
+		g.locks.add(e.Var, seq)
+	case trace.KindLoopBegin:
+		g.fences = append(g.fences, fenceRec{seq: seq, proc: e.Proc, tm: e.Time})
+	}
+	ps.queue = append(ps.queue, seq)
+	if !g.opts.retain {
+		ps.evq = append(ps.evq, *e)
+	}
+	if ps.state == procIdle {
+		g.makeReady(e.Proc)
+	}
+
+	if err := g.pass(ctx); err != nil {
+		return err
+	}
+	g.emitWindows()
 	return nil
 }
 
@@ -407,10 +476,38 @@ func (g *engine) winEnd(k int) trace.Time {
 	return trace.Time(k)*g.slide + g.window
 }
 
+// winAt returns window k's accumulator, adding it in index order if the
+// window was never touched. The pointer is valid until the next add.
+func (g *engine) winAt(k int) *winAcc {
+	ws := g.wins
+	if n := len(ws); n > 0 && ws[n-1].k == k {
+		return &ws[n-1] // time-ordered feeds mostly touch the newest window
+	}
+	lo, hi := 0, len(ws)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if ws[m].k < k {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(ws) && ws[lo].k == k {
+		return &ws[lo]
+	}
+	g.wins = append(g.wins, winAcc{})
+	copy(g.wins[lo+1:], g.wins[lo:])
+	g.wins[lo] = winAcc{k: k}
+	if k < g.winNext {
+		g.winFront++ // a late event's window, before the unemitted ones
+	}
+	return &g.wins[lo]
+}
+
 // fenceBetween returns the index (into g.fences) of the latest fork fence
 // with arrival position strictly between prevSeq and seq that lies on a
-// different processor than proc, or -1 — the incremental form of
-// resolver.fenceBetween.
+// different processor than proc, or -1. Fences on the same processor are
+// part of that processor's own chain and never apply.
 func (g *engine) fenceBetween(prevSeq, seq, proc int) int {
 	for k := len(g.fences) - 1; k >= 0; k-- {
 		f := &g.fences[k]
@@ -427,23 +524,38 @@ func (g *engine) fenceBetween(prevSeq, seq, proc int) int {
 	return -1
 }
 
-// basis returns the time basis for processor p's queue head: the fork
-// fence between it and its predecessor if one applies, the predecessor's
-// frontier otherwise, the origin for a processor's first event.
-func (g *engine) basis(p int) (ta, tm trace.Time, ok bool) {
+// fenceAt returns the fence fed at arrival position seq.
+func (g *engine) fenceAt(seq int) *fenceRec {
+	lo, hi := 0, len(g.fences)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if g.fences[m].seq < seq {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return &g.fences[lo]
+}
+
+// basis returns the time basis for processor p's queue head at arrival
+// position seq: the fork fence between it and its predecessor if one
+// applies, the predecessor's frontier otherwise, the origin for a
+// processor's first event. blocked is the index of the basis fence when
+// that fence is still unresolved, -1 otherwise.
+func (g *engine) basis(p, seq int) (ta, tm trace.Time, blocked int) {
 	ps := &g.ps[p]
-	head := &ps.queue[ps.qhead]
-	if fi := g.fenceBetween(ps.prevSeq, head.seq, p); fi >= 0 {
+	if fi := g.fenceBetween(ps.prevSeq, seq, p); fi >= 0 {
 		f := &g.fences[fi]
 		if !f.done {
-			return 0, 0, false
+			return 0, 0, fi
 		}
-		return f.ta, f.tm, true
+		return f.ta, f.tm, -1
 	}
 	if ps.prevSeq >= 0 {
-		return ps.taPrev, ps.tmPrev, true
+		return ps.taPrev, ps.tmPrev, -1
 	}
-	return 0, 0, true
+	return 0, 0, -1
 }
 
 // absenceKnown reports whether the engine may decide that no partner for
@@ -462,34 +574,121 @@ func (g *engine) overhead(k trace.Kind) trace.Time {
 	return g.cal.Overheads.ForKind(k)
 }
 
-// resolveHead applies the resolution rules to processor p's queue head,
-// whose basis (taBase, tmBase) is available. It reports whether the event
-// resolved or is still blocked on a dependency.
-func (g *engine) resolveHead(p int, taBase, tmBase trace.Time) bool {
+// headEvent returns the event at the head of the processor's queue.
+func (g *engine) headEvent(ps *procState) *trace.Event {
+	if !g.opts.retain {
+		return &ps.evq[ps.qhead]
+	}
+	return g.evs.at(ps.queue[ps.qhead])
+}
+
+// park blocks processor p's head on the waiter list headed at *list; a
+// nil list parks it until close, which wakes every parked processor.
+func (g *engine) park(p int, list *int32) {
 	ps := &g.ps[p]
-	pe := &ps.queue[ps.qhead]
-	e := pe.ev
-	cal := g.cal
-	note := resolveNote{ev: e}
+	ps.state = procParked
+	g.parks++
+	if list == nil {
+		return
+	}
+	i := g.freeW
+	if i != 0 {
+		g.freeW = g.waiters[i-1].next
+	} else {
+		g.waiters = append(g.waiters, waiter{})
+		i = int32(len(g.waiters))
+	}
+	g.waiters[i-1] = waiter{proc: int32(p), gen: ps.gen, next: *list}
+	*list = i
+}
+
+// parkUntil additionally wakes parked processor p once a sorted feed's
+// watermark passes measured time t — the moment an optimistic absence
+// decision becomes possible. Without sealing, or once the feed is
+// unsorted, only close decides absence.
+func (g *engine) parkUntil(p int, t trace.Time) {
+	if g.opts.seal && g.sorted && !g.closed {
+		g.wmParks.push(wmPark{t: t, proc: int32(p), gen: g.ps[p].gen})
+	}
+}
+
+// wake makes processor p ready if it is still parked under generation
+// gen; a later generation means another source already woke it.
+func (g *engine) wake(p int, gen uint32) {
+	ps := &g.ps[p]
+	if ps.state != procParked || ps.gen != gen {
+		return
+	}
+	ps.gen++
+	ps.state = procReady
+	g.ready = append(g.ready, p)
+	g.wakes++
+}
+
+// wakeList wakes every processor on the waiter list and frees its nodes.
+func (g *engine) wakeList(list *int32) {
+	for i := *list; i != 0; {
+		w := g.waiters[i-1]
+		g.wake(int(w.proc), w.gen)
+		g.waiters[i-1].next = g.freeW
+		g.freeW = i
+		i = w.next
+	}
+	*list = 0
+}
+
+// makeReady puts processor p on the ready worklist unconditionally,
+// invalidating any parks it holds.
+func (g *engine) makeReady(p int) {
+	ps := &g.ps[p]
+	switch ps.state {
+	case procReady:
+		return
+	case procParked:
+		ps.gen++
+	}
+	ps.state = procReady
+	g.ready = append(g.ready, p)
+}
+
+// resolveHead applies the resolution rules to processor p's queue head.
+// It reports whether the event resolved; if not, the head has been
+// parked on the dependency it is blocked on.
+func (g *engine) resolveHead(p int) bool {
+	ps := &g.ps[p]
+	seq := ps.queue[ps.qhead]
+	e := g.headEvent(ps)
+	taBase, tmBase, blocked := g.basis(p, seq)
+	if blocked >= 0 {
+		g.park(p, &g.fences[blocked].wait)
+		return false
+	}
+	cal := &g.cal
+	var note resolveNote
 
 	if g.opts.mode == ModeTimeBased {
-		g.resolveDefaultInc(pe, taBase, tmBase, &note)
-		g.commit(p, pe, note)
+		g.resolveDefaultInc(e, taBase, tmBase, &note)
+		g.commit(p, seq, e, note)
 		return true
 	}
 
 	switch e.Kind {
 	case trace.KindAwaitE:
 		taAwaitB := taBase // predecessor of awaitE is its awaitB
-		rec, paired := g.advances[e.Pair()]
+		rec := g.advances.get(e.Var, e.Iter, false)
+		paired := rec != nil && rec.seq != 0
 		if paired && !rec.done {
-			return false // blocked on the advance
+			g.park(p, &rec.wait) // blocked on the advance
+			return false
 		}
 		if !paired && !g.absenceKnown(e.Time) {
-			return false // the advance may still arrive
+			// The advance may still arrive.
+			g.park(p, &g.advances.get(e.Var, e.Iter, true).wait)
+			g.parkUntil(p, e.Time)
+			return false
 		}
 		if !paired && !g.closed {
-			g.sealedAwaits[e.Pair()] = true
+			g.advances.get(e.Var, e.Iter, true).sealed = true
 		}
 		var taA trace.Time
 		if paired {
@@ -502,7 +701,7 @@ func (g *engine) resolveHead(p int, taBase, tmBase trace.Time) bool {
 		waitedMeasured := measuredGap > cal.SNoWait+cal.Overheads.AwaitE+cal.SNoWait/2
 		if !paired && g.opts.degraded && e.Iter >= 0 {
 			// Conservative placeholder: the advance was dropped.
-			wait := placeholderWait(cal, taAwaitB, tmBase, e.Time)
+			wait := placeholderWait(*cal, taAwaitB, tmBase, e.Time)
 			note.ta = taAwaitB + wait
 			note.impaired = true
 			g.confFor(e.Proc).Placeholders++
@@ -515,7 +714,7 @@ func (g *engine) resolveHead(p int, taBase, tmBase trace.Time) bool {
 				note.introduced = 1
 			}
 			note.waiting = waitAbove(note.ta, taAwaitB, cal.SNoWait)
-			g.commit(p, pe, note)
+			g.commit(p, seq, e, note)
 			return true
 		}
 		if paired && taA > taAwaitB {
@@ -531,21 +730,18 @@ func (g *engine) resolveHead(p int, taBase, tmBase trace.Time) bool {
 			note.introduced = 1
 		}
 		note.waiting = waitAbove(note.ta, taAwaitB, cal.SNoWait)
-		g.commit(p, pe, note)
+		g.commit(p, seq, e, note)
 		return true
 
 	case trace.KindLockAcq:
 		taReq := taBase // predecessor of lock-acq is its lock-req
-		ri := pe.prevRel
-		var rr *relRec
-		if ri >= 0 {
-			rr = g.rels[ri]
-			if !rr.done {
-				return false // blocked on the previous holder's release
-			}
+		rr := g.locks.before(e.Var, seq)
+		if rr != nil && !rr.done {
+			g.park(p, &rr.wait) // blocked on the previous holder's release
+			return false
 		}
 		var taRel trace.Time
-		held := ri >= 0
+		held := rr != nil
 		if held {
 			taRel = rr.ta
 		}
@@ -564,36 +760,35 @@ func (g *engine) resolveHead(p int, taBase, tmBase trace.Time) bool {
 			note.introduced = 1
 		}
 		note.waiting = waitAbove(note.ta, taReq, cal.SNoWait)
-		g.commit(p, pe, note)
+		g.commit(p, seq, e, note)
 		return true
 
 	case trace.KindBarrierRelease:
-		b := g.barriers[e.Pair()]
 		if !g.absenceKnown(e.Time) {
-			return false // more participants may still arrive
+			g.park(p, nil) // more participants may still arrive
+			g.parkUntil(p, e.Time)
+			return false
 		}
+		b := g.barriers.get(e.Var, e.Iter, false)
 		if b != nil && b.resolved < b.fed {
-			return false // a fed participant is still unresolved
+			g.park(p, &b.wait) // a fed participant is still unresolved
+			return false
 		}
 		var latest trace.Time
 		if b != nil {
 			latest = b.maxTA
 		}
 		if !g.closed {
-			if b != nil {
-				b.sealed = true
-			} else {
-				g.sealedBarriers[e.Pair()] = true
-			}
+			g.barriers.get(e.Var, e.Iter, true).sealed = true
 		}
 		note.ta = latest + cal.Barrier
 		note.waiting = waitAbove(note.ta, taBase, cal.Barrier)
-		g.commit(p, pe, note)
+		g.commit(p, seq, e, note)
 		return true
 
 	default:
-		g.resolveDefaultInc(pe, taBase, tmBase, &note)
-		g.commit(p, pe, note)
+		g.resolveDefaultInc(e, taBase, tmBase, &note)
+		g.commit(p, seq, e, note)
 		return true
 	}
 }
@@ -609,10 +804,10 @@ func waitAbove(ta, taBase, cost trace.Time) trace.Time {
 	return w
 }
 
-// resolveDefaultInc applies the execution-timing rule (resolveDefault's
-// incremental twin).
-func (g *engine) resolveDefaultInc(pe *pend, taBase, tmBase trace.Time, note *resolveNote) {
-	e := pe.ev
+// resolveDefaultInc applies the execution-timing rule: the approximated
+// time is the basis plus the measured gap minus the event's probe
+// overhead.
+func (g *engine) resolveDefaultInc(e *trace.Event, taBase, tmBase trace.Time, note *resolveNote) {
 	gap := e.Time - tmBase - g.overhead(e.Kind)
 	if gap < 0 {
 		// Calibration error can slightly exceed a short measured gap;
@@ -622,37 +817,43 @@ func (g *engine) resolveDefaultInc(pe *pend, taBase, tmBase trace.Time, note *re
 	note.ta = taBase + gap
 }
 
-// commit finalizes a resolution: records the approximated time, folds
-// sync bookkeeping, advances the processor frontier and accumulates the
-// event into its windows.
-func (g *engine) commit(p int, pe *pend, note resolveNote) {
-	e := pe.ev
+// commit finalizes the resolution of processor p's head (arrival position
+// seq): records the approximated time, folds sync bookkeeping and wakes
+// the heads waiting on it, advances the processor frontier and
+// accumulates the event into its windows.
+func (g *engine) commit(p, seq int, e *trace.Event, note resolveNote) {
 	ta := note.ta
 	ps := &g.ps[p]
 
 	if g.opts.retain {
-		g.taAll[pe.seq] = ta
-		g.doneAll[pe.seq] = true
+		g.taAll[seq] = ta
 	}
 	switch e.Kind {
 	case trace.KindAdvance:
-		if pe.adv != nil {
-			pe.adv.ta = ta
-			pe.adv.done = true
+		if rec := g.advances.get(e.Var, e.Iter, false); rec.seq == seq+1 {
+			rec.ta = ta
+			rec.done = true
+			g.wakeList(&rec.wait)
 		}
 	case trace.KindLockRel:
-		rr := g.rels[pe.seq]
+		rr := g.locks.at(e.Var, seq)
 		rr.ta = ta
 		rr.done = true
+		g.wakeList(&rr.wait)
 	case trace.KindBarrierArrive:
-		pe.bar.resolved++
-		if ta > pe.bar.maxTA {
-			pe.bar.maxTA = ta
+		b := g.barriers.get(e.Var, e.Iter, false)
+		b.resolved++
+		if ta > b.maxTA {
+			b.maxTA = ta
+		}
+		if b.resolved == b.fed {
+			g.wakeList(&b.wait)
 		}
 	case trace.KindLoopBegin:
-		f := &g.fences[pe.fence]
+		f := g.fenceAt(seq)
 		f.ta = ta
 		f.done = true
+		g.wakeList(&f.wait)
 	}
 	g.stats.kept += note.kept
 	g.stats.removed += note.removed
@@ -661,17 +862,22 @@ func (g *engine) commit(p int, pe *pend, note resolveNote) {
 		g.maxTA = ta
 	}
 
-	g.foldWindow(&note)
+	g.foldWindow(e, &note)
 
-	ps.prevSeq = pe.seq
+	ps.prevSeq = seq
 	ps.taPrev = ta
 	ps.tmPrev = e.Time
 	ps.qhead++
-	// Compact the queue once the resolved prefix dominates, keeping
-	// amortized O(1) pops without unbounded growth.
-	if ps.qhead > 32 && ps.qhead*2 >= len(ps.queue) {
+	// Streams compact the queue once the resolved prefix dominates,
+	// keeping amortized O(1) pops without unbounded growth; batch queues
+	// keep their prefix as the processor's run for finish.
+	if !g.batch && ps.qhead > 32 && ps.qhead*2 >= len(ps.queue) {
 		n := copy(ps.queue, ps.queue[ps.qhead:])
 		ps.queue = ps.queue[:n]
+		if ps.evq != nil {
+			copy(ps.evq, ps.evq[ps.qhead:])
+			ps.evq = ps.evq[:n]
+		}
 		ps.qhead = 0
 	}
 	g.remaining--
@@ -679,31 +885,33 @@ func (g *engine) commit(p int, pe *pend, note resolveNote) {
 
 // foldWindow accumulates a resolved event into every window containing
 // its measured time.
-func (g *engine) foldWindow(note *resolveNote) {
-	e := note.ev
+func (g *engine) foldWindow(e *trace.Event, note *resolveNote) {
 	kmin, kmax := g.winRange(e.Time)
 	for k := kmin; k <= kmax; k++ {
-		g.winPending[k]--
-		if k < g.winNext {
+		w := g.winAt(k)
+		if k >= g.winNext {
+			w.pending--
+		} else {
+			if g.winAmended == nil {
+				g.winAmended = make(map[int]bool)
+			}
 			g.winAmended[k] = true
 		}
-		acc := g.winAccs[k]
-		if acc == nil {
-			acc = &winAcc{procs: make(map[int]*winProcAcc)}
-			g.winAccs[k] = acc
-		}
-		acc.events++
-		acc.waiting += note.waiting
+		w.events++
+		w.waiting += note.waiting
 		if note.impaired {
-			acc.impaired++
+			w.impaired++
 		}
-		pa := acc.procs[e.Proc]
-		if pa == nil {
-			pa = &winProcAcc{
+		if e.Proc >= len(w.procs) {
+			w.procs = append(w.procs, make([]winProcAcc, e.Proc+1-len(w.procs))...)
+		}
+		pa := &w.procs[e.Proc]
+		if pa.events == 0 {
+			*pa = winProcAcc{
 				minTM: e.Time, maxTM: e.Time,
 				minTA: note.ta, maxTA: note.ta,
 			}
-			acc.procs[e.Proc] = pa
+			w.active++
 		}
 		pa.events++
 		pa.waiting += note.waiting
@@ -734,21 +942,42 @@ func (g *engine) foldWindow(note *resolveNote) {
 // keep folding, the window is marked amended, and close re-emits its
 // corrected content (emitAmended).
 func (g *engine) emitWindows() {
-	for {
+	for g.winNext <= g.winMaxIdx {
 		k := g.winNext
-		if k > g.winMaxIdx {
-			return
+		if g.winFront < len(g.wins) && g.wins[g.winFront].k == k {
+			w := &g.wins[g.winFront]
+			if w.pending > 0 {
+				return
+			}
+			if !g.closed && !(g.sorted && g.watermark >= g.winEnd(k)) {
+				return
+			}
+			if w.events > 0 {
+				g.winQ = append(g.winQ, g.buildWindow(w))
+			}
+			g.winFront++
+			g.winNext++
+			continue
 		}
-		if g.winPending[k] > 0 {
-			return
+		// k starts a run of windows no event touched: pass, in one step,
+		// every one of them whose end the watermark has reached, up to the
+		// next touched window. (Only window > 0 gets here.)
+		next := g.winMaxIdx + 1
+		if g.winFront < len(g.wins) {
+			next = g.wins[g.winFront].k
 		}
-		if !g.closed && !(g.sorted && g.watermark >= g.winEnd(k)) {
-			return
+		if !g.closed {
+			if !g.sorted {
+				return
+			}
+			// winEnd(j) <= watermark exactly for j <= last.
+			last := int(floorDiv(g.watermark-g.window, g.slide))
+			if last < k {
+				return
+			}
+			next = min(next, last+1)
 		}
-		if acc := g.winAccs[k]; acc != nil {
-			g.winQ = append(g.winQ, g.buildWindow(k, acc))
-		}
-		g.winNext++
+		g.winNext = next
 	}
 }
 
@@ -767,24 +996,23 @@ func (g *engine) emitAmended() {
 	}
 	sort.Ints(ks)
 	for _, k := range ks {
-		if acc := g.winAccs[k]; acc != nil {
-			g.winQ = append(g.winQ, g.buildWindow(k, acc))
-		}
+		g.winQ = append(g.winQ, g.buildWindow(g.winAt(k)))
 	}
-	g.winAmended = make(map[int]bool)
+	g.winAmended = nil
 }
 
-// buildWindow assembles the WindowResult for window k from its
-// accumulator.
-func (g *engine) buildWindow(k int, acc *winAcc) WindowResult {
+// buildWindow assembles the WindowResult for an accumulated window.
+func (g *engine) buildWindow(acc *winAcc) WindowResult {
+	k := acc.k
 	w := WindowResult{
 		Index:       k,
 		Start:       trace.Time(k) * g.slide,
 		End:         g.winEnd(k),
 		Events:      acc.events,
-		ActiveProcs: len(acc.procs),
+		ActiveProcs: acc.active,
 		Waiting:     acc.waiting,
 		Confidence:  1,
+		Procs:       make([]WindowProc, 0, acc.active),
 	}
 	if g.window <= 0 {
 		w.Start = 0
@@ -793,15 +1021,13 @@ func (g *engine) buildWindow(k int, acc *winAcc) WindowResult {
 			w.End = g.watermark
 		}
 	}
-	procIDs := make([]int, 0, len(acc.procs))
-	for p := range acc.procs {
-		procIDs = append(procIDs, p)
-	}
-	sort.Ints(procIDs)
 	var busy trace.Time
 	minTA, maxTA := trace.Time(math.MaxInt64), trace.Time(math.MinInt64)
-	for _, p := range procIDs {
-		pa := acc.procs[p]
+	for p := range acc.procs {
+		pa := &acc.procs[p]
+		if pa.events == 0 {
+			continue
+		}
 		w.Procs = append(w.Procs, WindowProc{
 			Proc:          p,
 			Events:        pa.events,
@@ -825,7 +1051,7 @@ func (g *engine) buildWindow(k int, acc *winAcc) WindowResult {
 	if span := maxTA - minTA; span > 0 {
 		w.AvgParallelism = float64(busy) / float64(span)
 	} else {
-		w.AvgParallelism = float64(len(procIDs))
+		w.AvgParallelism = float64(acc.active)
 	}
 	if g.opts.degraded && acc.events > 0 {
 		c := 1 - float64(acc.impaired)/float64(acc.events)
@@ -876,43 +1102,55 @@ func (g *engine) confFor(proc int) *ProcConfidence {
 	return &g.conf[proc]
 }
 
-// pass runs the worklist to a local fixpoint: repeated rounds over the
-// processors, resolving every queue head whose dependencies are
-// available, until a round makes no progress.
+// pass drains the ready worklist: each ready processor resolves queue
+// heads until one blocks (and parks) or the queue empties, and every
+// resolution pushes the processors it unblocks. When the worklist is
+// empty, everything resolvable with what has been fed is resolved.
 func (g *engine) pass(ctx context.Context) error {
-	for {
-		progress := false
-		for p := range g.ps {
-			ps := &g.ps[p]
-			for ps.qhead < len(ps.queue) {
-				taBase, tmBase, ok := g.basis(p)
-				if !ok {
-					break
-				}
-				if !g.resolveHead(p, taBase, tmBase) {
-					break
-				}
-				progress = true
-				if g.sinceCheck++; g.sinceCheck >= cancel.CheckEvery {
-					g.sinceCheck = 0
-					if err := cancel.Err(ctx); err != nil {
-						return err
+	for len(g.ready) > 0 {
+		p := g.ready[len(g.ready)-1]
+		g.ready = g.ready[:len(g.ready)-1]
+		ps := &g.ps[p]
+		ps.state = procIdle
+		for ps.qhead < len(ps.queue) {
+			if !g.resolveHead(p) {
+				break
+			}
+			if g.sinceCheck++; g.sinceCheck >= cancel.CheckEvery {
+				g.sinceCheck = 0
+				if err := cancel.Err(ctx); err != nil {
+					if ps.qhead < len(ps.queue) && ps.state == procIdle {
+						g.makeReady(p) // resume here if the session goes on
 					}
+					return err
 				}
 			}
 		}
-		if !progress {
-			return nil
-		}
 	}
+	return nil
 }
 
-// close finishes the analysis: every event has arrived, so absence
+// close finishes the analysis (closeRun) and flushes the run's telemetry.
+func (g *engine) close(ctx context.Context) (*Approximation, error) {
+	a, err := g.closeRun(ctx)
+	if !g.nested {
+		g.flushTelemetry()
+	}
+	return a, err
+}
+
+// closeRun finishes the analysis: every event has arrived, so absence
 // decisions are final, stalls are broken (degraded mode) or reported, and
 // a contradiction-flagged run is re-resolved exactly from the retained
 // events.
-func (g *engine) close(ctx context.Context) (*Approximation, error) {
+func (g *engine) closeRun(ctx context.Context) (*Approximation, error) {
 	g.closed = true
+	g.wmParks = g.wmParks[:0]
+	for p := range g.ps {
+		if g.ps[p].state == procParked {
+			g.makeReady(p)
+		}
+	}
 	if err := g.pass(ctx); err != nil {
 		return nil, err
 	}
@@ -939,19 +1177,20 @@ func (g *engine) close(ctx context.Context) (*Approximation, error) {
 			if ps.qhead >= len(ps.queue) {
 				continue
 			}
-			pe := &ps.queue[ps.qhead]
-			taBase, tmBase, ok := g.basis(p)
-			if !ok {
+			seq := ps.queue[ps.qhead]
+			e := g.headEvent(ps)
+			taBase, tmBase, blocked := g.basis(p, seq)
+			if blocked >= 0 {
 				// Basis itself unresolved (cross-processor fence in
 				// the cycle): anchor at the measured time.
-				taBase, tmBase = pe.ev.Time, pe.ev.Time
+				taBase, tmBase = e.Time, e.Time
 			}
 			var note resolveNote
-			note.ev = pe.ev
-			g.resolveDefaultInc(pe, taBase, tmBase, &note)
+			g.resolveDefaultInc(e, taBase, tmBase, &note)
 			note.impaired = true
 			g.confFor(p).Forced++
-			g.commit(p, pe, note)
+			g.commit(p, seq, e, note)
+			g.makeReady(p)
 			forced = true
 		}
 		if !forced {
@@ -983,9 +1222,11 @@ func (g *engine) redo(ctx context.Context) (*Approximation, error) {
 	if !g.opts.retain {
 		return nil, fmt.Errorf("%w: synchronization partner arrived after its absence was decided; low-memory streaming cannot re-resolve (retain events or sort the feed)", ErrUnsupported)
 	}
+	g.redos++
 	opts := g.opts
 	opts.seal = false
 	g2 := newIncEngine(g.procs(), g.cal, opts)
+	g2.nested = true
 	if !opts.fixedProcs {
 		// Keep the discovered processor count.
 		for len(g2.ps) < len(g.ps) {
@@ -993,10 +1234,9 @@ func (g *engine) redo(ctx context.Context) (*Approximation, error) {
 		}
 	}
 	g2.setWindows(g.window, g.slide)
-	if err := g2.feed(ctx, g.all); err != nil {
-		return nil, err
-	}
-	a, err := g2.close(ctx)
+	a, err := g2.analyze(ctx, g.evs.flat())
+	g.parks += g2.parks
+	g.wakes += g2.wakes
 	if err != nil {
 		return nil, err
 	}
@@ -1006,7 +1246,6 @@ func (g *engine) redo(ctx context.Context) (*Approximation, error) {
 	g.conf = g2.conf
 	g.maxTA = g2.maxTA
 	g.taAll = g2.taAll
-	g.doneAll = g2.doneAll
 	g.winQ = g.winQ[:0]
 	for _, w := range g2.winQ {
 		if prev, ok := g.drainedWin[w.Index]; ok && windowEqual(prev, w) {
@@ -1017,9 +1256,9 @@ func (g *engine) redo(ctx context.Context) (*Approximation, error) {
 	return a, nil
 }
 
-// finish assembles the Approximation. With retention it mirrors
-// resolver.finish (events re-timed, canonically sorted, Times aligned
-// with arrival order); without, it carries the summary only.
+// finish assembles the Approximation. With retention it carries the
+// events re-timed in canonical order (Times aligned with arrival order);
+// without, the summary only.
 func (g *engine) finish() (*Approximation, error) {
 	a := &Approximation{
 		WaitsKept:       g.stats.kept,
@@ -1043,18 +1282,59 @@ func (g *engine) finish() (*Approximation, error) {
 		a.Duration = g.maxTA
 		return a, nil
 	}
-	a.Trace = trace.NewWithCap(g.procs(), len(g.all))
 	a.Times = g.taAll
 	// No renormalization: the basis rule anchors each thread at the
 	// execution origin (time zero), so approximated times are already in
 	// actual-execution coordinates.
-	for i, e := range g.all {
-		e.Time = g.taAll[i]
-		a.Trace.Append(e)
-	}
-	a.Trace.Sort()
+	a.Trace = trace.New(g.procs())
+	a.Trace.Events = mergeRuns(&g.evs, g.runs(), g.taAll)
 	a.Duration = a.Trace.End()
 	return a, nil
+}
+
+// runs lists each processor's events as arrival positions in order: the
+// batch queues themselves, or a counting pass over a retained feed.
+func (g *engine) runs() [][]int {
+	runs := make([][]int, len(g.ps))
+	if g.batch {
+		for p := range g.ps {
+			runs[p] = g.ps[p].queue
+		}
+		return runs
+	}
+	backing := make([]int, g.evs.n)
+	off := 0
+	for p := range g.ps {
+		runs[p] = backing[off : off : off+g.ps[p].events]
+		off += g.ps[p].events
+	}
+	for i := 0; i < g.evs.n; i++ {
+		p := g.evs.at(i).Proc
+		runs[p] = append(runs[p], i)
+	}
+	return runs
+}
+
+// Default-path engine telemetry, flushed once per run like the sharded
+// engine's scheduler counters: head parks, wakes, and exact re-runs
+// forced by a contradicted absence decision.
+var (
+	obsEngineParks = obs.NewCounter("core.engine.parks")
+	obsEngineWakes = obs.NewCounter("core.engine.wakes")
+	obsEngineRedos = obs.NewCounter("core.engine.redos")
+)
+
+// flushTelemetry publishes the run's engine statistics when the obs
+// layer is enabled.
+func (g *engine) flushTelemetry() {
+	if !obs.Enabled() {
+		return
+	}
+	obsAnaRuns.Add(1)
+	obsAnaEvents.Add(int64(g.n))
+	obsEngineParks.Add(g.parks)
+	obsEngineWakes.Add(g.wakes)
+	obsEngineRedos.Add(g.redos)
 }
 
 // StreamOptions configures a streaming analysis session.
@@ -1198,10 +1478,7 @@ func (s *Stream) Close(ctx context.Context) (*Approximation, error) {
 		})
 		g.setWindows(s.opts.Window, s.opts.Slide)
 		s.g = g
-		if err := g.feed(ctx, repaired.Events); err != nil {
-			return nil, err
-		}
-		a, err := g.close(ctx)
+		a, err := g.analyze(ctx, repaired.Events)
 		if err != nil {
 			return nil, err
 		}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"perturb/internal/core"
 	"perturb/internal/instr"
@@ -345,5 +346,33 @@ func TestStreamCancellation(t *testing.T) {
 		if _, cerr := s.Close(ctx); cerr == nil {
 			t.Error("session ignored canceled context")
 		}
+	}
+}
+
+// TestStreamSparseWindows: a window far smaller than the gaps between
+// events leaves billions of windows empty. Passing them must cost
+// nothing — a feed that stepped through each index would spin for
+// minutes inside Feed — and the emitted sequence is just the touched
+// windows.
+func TestStreamSparseWindows(t *testing.T) {
+	cal := instr.Exact(instr.Uniform(3), 50, 80, 30, 40)
+	ev := func(tm trace.Time) trace.Event {
+		return trace.Event{Time: tm, Proc: 0, Stmt: 1, Kind: trace.KindCompute, Iter: trace.NoIter, Var: trace.NoVar}
+	}
+	events := []trace.Event{ev(10), ev(20_000_000_000), ev(40_000_000_000)}
+	start := time.Now()
+	win, approx := feedChunks(t, singletonChunks(events), cal, core.StreamOptions{Procs: 1, Window: 2})
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("passing empty windows took %v", d)
+	}
+	var got []int
+	for _, w := range win {
+		got = append(got, w.Index)
+	}
+	if want := []int{5, 10_000_000_000, 20_000_000_000}; !reflect.DeepEqual(got, want) {
+		t.Errorf("window indices %v, want %v", got, want)
+	}
+	if approx.Trace.Len() != len(events) {
+		t.Errorf("approximation has %d events, want %d", approx.Trace.Len(), len(events))
 	}
 }

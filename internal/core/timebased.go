@@ -30,8 +30,5 @@ func TimeBased(m *trace.Trace, cal instr.Calibration) (*Approximation, error) {
 		retain:     true,
 		fixedProcs: true,
 	})
-	if err := g.feed(context.Background(), m.Events); err != nil {
-		return nil, err
-	}
-	return g.close(context.Background())
+	return g.analyze(context.Background(), m.Events)
 }

@@ -387,10 +387,10 @@ const (
 //
 //   - opts.Mode picks the analysis family (EventBased, TimeBased,
 //     Liberal);
-//   - opts.Workers picks the event-based engine: 0 the sequential
-//     fixpoint, n >= 1 the sharded concurrent engine with n workers
-//     (byte-identical output), negative the sharded engine with
-//     GOMAXPROCS workers;
+//   - opts.Workers picks the event-based engine: 0 the incremental
+//     engine (the one streaming sessions run), n >= 1 the sharded
+//     concurrent engine with n workers (byte-identical output), negative
+//     the sharded engine with GOMAXPROCS workers;
 //   - opts.Repair sanitizes defective traces first (see RepairTrace) and
 //     tolerates the repairs, attaching the repair report and per-processor
 //     confidence scores to the result.
@@ -400,12 +400,12 @@ func Analyze(m *Trace, cal Calibration, opts AnalyzeOptions) (*Approximation, er
 }
 
 // AnalyzeContext is Analyze under a context: the analysis polls ctx
-// cooperatively — between fixpoint passes, at scheduler park/wake
-// transitions, and every few thousand events inside the hot resolution
-// loops — and abandons the run with ErrCanceled or ErrDeadlineExceeded
-// (matching context.Canceled / context.DeadlineExceeded too under
-// errors.Is) without returning a partial Approximation. Both the
-// sequential and the sharded-parallel engines cancel this way, with every
+// cooperatively — at scheduler park/wake transitions, and every few
+// thousand events inside the hot resolution loops — and abandons the run
+// with ErrCanceled or ErrDeadlineExceeded (matching context.Canceled /
+// context.DeadlineExceeded too under errors.Is) without returning a
+// partial Approximation. Both the incremental and the sharded-parallel
+// engines cancel this way, with every
 // scheduler goroutine joined before the error returns. A background
 // context reproduces Analyze exactly.
 func AnalyzeContext(ctx context.Context, m *Trace, cal Calibration, opts AnalyzeOptions) (*Approximation, error) {
