@@ -483,15 +483,7 @@ func (g *engine) winAt(k int) *winAcc {
 	if n := len(ws); n > 0 && ws[n-1].k == k {
 		return &ws[n-1] // time-ordered feeds mostly touch the newest window
 	}
-	lo, hi := 0, len(ws)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if ws[m].k < k {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
+	lo := sort.Search(len(ws), func(i int) bool { return ws[i].k >= k })
 	if lo < len(ws) && ws[lo].k == k {
 		return &ws[lo]
 	}
@@ -526,16 +518,7 @@ func (g *engine) fenceBetween(prevSeq, seq, proc int) int {
 
 // fenceAt returns the fence fed at arrival position seq.
 func (g *engine) fenceAt(seq int) *fenceRec {
-	lo, hi := 0, len(g.fences)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if g.fences[m].seq < seq {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return &g.fences[lo]
+	return &g.fences[sort.Search(len(g.fences), func(i int) bool { return g.fences[i].seq >= seq })]
 }
 
 // basis returns the time basis for processor p's queue head at arrival

@@ -1,6 +1,10 @@
 package core
 
-import "perturb/internal/trace"
+import (
+	"sort"
+
+	"perturb/internal/trace"
+)
 
 // This file holds the incremental engine's bookkeeping tables: dense,
 // slice-backed replacements for per-key maps, plus the pooled waiter
@@ -154,19 +158,11 @@ func (t *lockTable) before(v, seq int) *relRec {
 		return nil
 	}
 	rs := t.rels[r]
-	lo, hi := 0, len(rs) // first release at or after seq
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if rs[m].seq < seq {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	if lo == 0 {
+	i := sort.Search(len(rs), func(i int) bool { return rs[i].seq >= seq }) // first at or after seq
+	if i == 0 {
 		return nil
 	}
-	return &rs[lo-1]
+	return &rs[i-1]
 }
 
 // at returns the release with arrival position seq on lock v.
