@@ -163,7 +163,7 @@ var ErrUnsupported = errors.New("core: trace shape not supported by this analysi
 // (sortRun). The merge then compares run heads by time only: an ascending
 // processor scan resolves time ties toward the lower processor, and a run
 // keeps emitting while its next event still precedes every other head.
-func mergeRuns(events *eventStore, runs [][]int, ta []trace.Time) []trace.Event {
+func mergeRuns(events []trace.Event, runs [][]int, ta []trace.Time) []trace.Event {
 	// Live runs in ascending processor order, with their head times.
 	var live [][]int
 	var heads []trace.Time
@@ -193,7 +193,7 @@ func mergeRuns(events *eventStore, runs [][]int, ta []trace.Time) []trace.Event 
 		i := 0
 		for {
 			idx := run[i]
-			out[n] = *events.at(idx)
+			out[n] = events[idx]
 			out[n].Time = ta[idx]
 			n++
 			i++
@@ -222,9 +222,9 @@ func mergeRuns(events *eventStore, runs [][]int, ta []trace.Time) []trace.Event 
 // zero-gap events with decreasing statement ids — so an insertion pass
 // does the work in near-linear time; a run that turns out badly out of
 // order is finished by the library's stable sort.
-func sortRun(events *eventStore, run []int, ta []trace.Time) {
+func sortRun(events []trace.Event, run []int, ta []trace.Time) {
 	before := func(a, b int) bool { // a strictly precedes b
-		return ta[a] < ta[b] || (ta[a] == ta[b] && events.at(a).Stmt < events.at(b).Stmt)
+		return ta[a] < ta[b] || (ta[a] == ta[b] && events[a].Stmt < events[b].Stmt)
 	}
 	budget := len(run)
 	for i := 1; i < len(run); i++ {
@@ -242,7 +242,7 @@ func sortRun(events *eventStore, run []int, ta []trace.Time) {
 				if c := cmp.Compare(ta[a], ta[b]); c != 0 {
 					return c
 				}
-				return cmp.Compare(events.at(a).Stmt, events.at(b).Stmt)
+				return cmp.Compare(events[a].Stmt, events[b].Stmt)
 			})
 			return
 		}

@@ -133,8 +133,11 @@ func analyzeEventBased(ctx context.Context, m *trace.Trace, cal instr.Calibratio
 	}
 	a, err := eventBasedParallel(ctx, m, cal, opts.Workers, degraded)
 	if degraded && errors.Is(err, ErrUnresolvable) {
-		// Only the incremental engine can break resolution stalls.
-		return eventBased(ctx, m, cal, degraded)
+		// Only the incremental engine can break resolution stalls. The
+		// sharded attempt already counted this run in the telemetry.
+		g := newEventBasedEngine(m.Procs, cal, degraded)
+		g.runCounted = true
+		return g.analyze(ctx, m.Events)
 	}
 	return a, err
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"perturb/internal/instr"
+	"perturb/internal/obs"
 	"perturb/internal/trace"
 )
 
@@ -77,5 +78,28 @@ func TestDegradedParallelFallsBackToSequential(t *testing.T) {
 		if got.Times[i] != want.Times[i] {
 			t.Fatalf("fallback time %d = %d, want %d", i, got.Times[i], want.Times[i])
 		}
+	}
+}
+
+// TestDegradedFallbackTelemetry: the sharded attempt and the incremental
+// fallback of one degraded analysis count as one run in the telemetry
+// (the default path's single-run count is TestDefaultEngineTelemetry's).
+func TestDegradedFallbackTelemetry(t *testing.T) {
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(false)
+	cal := instr.Calibration{Overheads: instr.Uniform(1), SNoWait: 1, SWait: 2}
+	tr := cycleTrace()
+	r0, e0, p0 := obsAnaRuns.Value(), obsAnaEvents.Value(), obsEngineParks.Value()
+	if _, err := analyzeEventBased(context.Background(), tr, cal, Options{Repair: true, Workers: 2}); err != nil {
+		t.Fatalf("fallback failed: %v", err)
+	}
+	if obsEngineParks.Value() == p0 {
+		t.Fatal("the incremental fallback did not run")
+	}
+	if d := obsAnaRuns.Value() - r0; d != 1 {
+		t.Errorf("core.analysis.runs moved by %d, want 1", d)
+	}
+	if d := obsAnaEvents.Value() - e0; d != int64(tr.Len()) {
+		t.Errorf("core.analysis.events moved by %d, want %d", d, tr.Len())
 	}
 }

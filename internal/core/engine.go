@@ -445,8 +445,7 @@ func (g *ebEngine) finish() *Approximation {
 		a.Confidence = conf
 	}
 
-	evs := storeOf(g.in.Events)
-	a.Trace.Events = mergeRuns(&evs, g.deps.perProc, g.ta)
+	a.Trace.Events = mergeRuns(g.in.Events, g.deps.perProc, g.ta)
 	a.Duration = a.Trace.End()
 	return a
 }

@@ -67,11 +67,16 @@ func EventBased(m *trace.Trace, cal instr.Calibration) (*Approximation, error) {
 // The engine polls ctx every cancel.CheckEvery resolved events,
 // abandoning the run with the mapped cancellation sentinel.
 func eventBased(ctx context.Context, m *trace.Trace, cal instr.Calibration, degraded bool) (*Approximation, error) {
-	g := newIncEngine(m.Procs, cal, engineOptions{
+	return newEventBasedEngine(m.Procs, cal, degraded).analyze(ctx, m.Events)
+}
+
+// newEventBasedEngine configures the incremental engine for one
+// whole-trace event-based analysis.
+func newEventBasedEngine(procs int, cal instr.Calibration, degraded bool) *engine {
+	return newIncEngine(procs, cal, engineOptions{
 		mode:       ModeEventBased,
 		degraded:   degraded,
 		retain:     true,
 		fixedProcs: true,
 	})
-	return g.analyze(ctx, m.Events)
 }

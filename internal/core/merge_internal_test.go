@@ -16,7 +16,7 @@ func TestMergeRunsMatchesStableSort(t *testing.T) {
 		procs := 1 + r.Intn(12)
 		n := r.Intn(400)
 		if i%50 == 0 {
-			n = 5000 + r.Intn(5000) // several event-store blocks
+			n = 5000 + r.Intn(5000)
 		}
 		events := make([]trace.Event, n)
 		ta := make([]trace.Time, n)
@@ -45,8 +45,7 @@ func TestMergeRunsMatchesStableSort(t *testing.T) {
 			want.Events[j] = e
 		}
 		want.Sort()
-		evs := storeOf(events)
-		got := mergeRuns(&evs, runs, ta)
+		got := mergeRuns(events, runs, ta)
 		if len(got) != n {
 			t.Fatalf("case %d: merged %d events, want %d", i, len(got), n)
 		}

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"perturb/internal/cancel"
@@ -200,11 +202,12 @@ type winAcc struct {
 	events   int
 	impaired int
 	waiting  trace.Time
-	active   int          // processors with at least one event
-	procs    []winProcAcc // by processor id; events == 0 marks an inactive one
+	procs    []winProcAcc  // processors with an event in the window, in first-seen order
+	index    map[int]int32 // processor -> position in procs, once procs outgrows a scan
 }
 
 type winProcAcc struct {
+	proc         int
 	events       int
 	minTM, maxTM trace.Time
 	minTA, maxTA trace.Time
@@ -248,6 +251,10 @@ type engine struct {
 	// nested marks the exact re-run inside redo: its telemetry is
 	// folded into the outer run's instead of being flushed separately.
 	nested bool
+	// runCounted marks a run another engine already counted in
+	// core.analysis.runs/events (the sharded engine's failed attempt
+	// before a degraded fallback); only the engine counters are flushed.
+	runCounted bool
 
 	maxTA trace.Time
 
@@ -266,11 +273,10 @@ type engine struct {
 	winAmended    map[int]bool         // emitted windows that later received events
 	drainedWin    map[int]WindowResult // last content handed out per index
 
-	// Events by arrival position: views of the analyzed trace itself in
-	// batch mode (borrowed, read-only), the retained feed in a retaining
-	// session, empty in low-memory mode. taAll holds their approximated
-	// times.
-	evs   eventStore
+	// Events by arrival position: the analyzed trace itself in batch mode
+	// (borrowed, read-only), the retained feed in a retaining session,
+	// empty in low-memory mode. taAll holds their approximated times.
+	all   []trace.Event
 	batch bool
 	taAll []trace.Time
 
@@ -322,7 +328,7 @@ func (g *engine) analyze(ctx context.Context, events []trace.Event) (*Approximat
 // it reads the events in place instead of copying them, and sizes every
 // processor queue and the result times exactly, once.
 func (g *engine) feedAll(ctx context.Context, events []trace.Event) error {
-	g.evs, g.batch = storeOf(events), true
+	g.all, g.batch = events, true
 	counts := make([]int, len(g.ps))
 	for i := range events {
 		p := events[i].Proc
@@ -377,7 +383,7 @@ func (g *engine) feedOne(ctx context.Context, e *trace.Event) error {
 	g.n++
 	g.remaining++
 	if g.opts.retain && !g.batch {
-		g.evs.push(*e)
+		g.all = append(g.all, *e)
 		g.taAll = append(g.taAll, 0)
 	}
 	if seq > 0 && e.Time < g.watermark && g.sorted {
@@ -562,7 +568,7 @@ func (g *engine) headEvent(ps *procState) *trace.Event {
 	if !g.opts.retain {
 		return &ps.evq[ps.qhead]
 	}
-	return g.evs.at(ps.queue[ps.qhead])
+	return &g.all[ps.queue[ps.qhead]]
 }
 
 // park blocks processor p's head on the waiter list headed at *list; a
@@ -885,16 +891,13 @@ func (g *engine) foldWindow(e *trace.Event, note *resolveNote) {
 		if note.impaired {
 			w.impaired++
 		}
-		if e.Proc >= len(w.procs) {
-			w.procs = append(w.procs, make([]winProcAcc, e.Proc+1-len(w.procs))...)
-		}
-		pa := &w.procs[e.Proc]
+		pa := w.procAcc(e.Proc)
 		if pa.events == 0 {
 			*pa = winProcAcc{
+				proc:  e.Proc,
 				minTM: e.Time, maxTM: e.Time,
 				minTA: note.ta, maxTA: note.ta,
 			}
-			w.active++
 		}
 		pa.events++
 		pa.waiting += note.waiting
@@ -911,6 +914,38 @@ func (g *engine) foldWindow(e *trace.Event, note *resolveNote) {
 			pa.maxTA = note.ta
 		}
 	}
+}
+
+// winScan is how many processors a window looks up by scanning its
+// accumulators before it indexes them in a map.
+const winScan = 8
+
+// procAcc returns the window's accumulator for processor p, appending a
+// zero one if p has no event in the window yet. Accumulators are kept per
+// active processor, so a window costs memory by the processors it saw,
+// not by the largest processor id.
+func (w *winAcc) procAcc(p int) *winProcAcc {
+	if w.index != nil {
+		if i, ok := w.index[p]; ok {
+			return &w.procs[i]
+		}
+		w.index[p] = int32(len(w.procs))
+	} else {
+		for i := range w.procs {
+			if w.procs[i].proc == p {
+				return &w.procs[i]
+			}
+		}
+		if len(w.procs) == winScan {
+			w.index = make(map[int]int32, 2*winScan)
+			for i := range w.procs {
+				w.index[w.procs[i].proc] = int32(i)
+			}
+			w.index[p] = int32(len(w.procs))
+		}
+	}
+	w.procs = append(w.procs, winProcAcc{})
+	return &w.procs[len(w.procs)-1]
 }
 
 // emitWindows moves every finished window, in index order, from the
@@ -992,10 +1027,10 @@ func (g *engine) buildWindow(acc *winAcc) WindowResult {
 		Start:       trace.Time(k) * g.slide,
 		End:         g.winEnd(k),
 		Events:      acc.events,
-		ActiveProcs: acc.active,
+		ActiveProcs: len(acc.procs),
 		Waiting:     acc.waiting,
 		Confidence:  1,
-		Procs:       make([]WindowProc, 0, acc.active),
+		Procs:       make([]WindowProc, 0, len(acc.procs)),
 	}
 	if g.window <= 0 {
 		w.Start = 0
@@ -1006,13 +1041,10 @@ func (g *engine) buildWindow(acc *winAcc) WindowResult {
 	}
 	var busy trace.Time
 	minTA, maxTA := trace.Time(math.MaxInt64), trace.Time(math.MinInt64)
-	for p := range acc.procs {
-		pa := &acc.procs[p]
-		if pa.events == 0 {
-			continue
-		}
+	for i := range acc.procs {
+		pa := &acc.procs[i]
 		w.Procs = append(w.Procs, WindowProc{
-			Proc:          p,
+			Proc:          pa.proc,
 			Events:        pa.events,
 			MeasuredStart: pa.minTM,
 			MeasuredEnd:   pa.maxTM,
@@ -1031,10 +1063,11 @@ func (g *engine) buildWindow(acc *winAcc) WindowResult {
 			maxTA = pa.maxTA
 		}
 	}
+	slices.SortFunc(w.Procs, func(a, b WindowProc) int { return cmp.Compare(a.Proc, b.Proc) })
 	if span := maxTA - minTA; span > 0 {
 		w.AvgParallelism = float64(busy) / float64(span)
 	} else {
-		w.AvgParallelism = float64(acc.active)
+		w.AvgParallelism = float64(len(acc.procs))
 	}
 	if g.opts.degraded && acc.events > 0 {
 		c := 1 - float64(acc.impaired)/float64(acc.events)
@@ -1217,7 +1250,7 @@ func (g *engine) redo(ctx context.Context) (*Approximation, error) {
 		}
 	}
 	g2.setWindows(g.window, g.slide)
-	a, err := g2.analyze(ctx, g.evs.flat())
+	a, err := g2.analyze(ctx, g.all)
 	g.parks += g2.parks
 	g.wakes += g2.wakes
 	if err != nil {
@@ -1270,7 +1303,7 @@ func (g *engine) finish() (*Approximation, error) {
 	// execution origin (time zero), so approximated times are already in
 	// actual-execution coordinates.
 	a.Trace = trace.New(g.procs())
-	a.Trace.Events = mergeRuns(&g.evs, g.runs(), g.taAll)
+	a.Trace.Events = mergeRuns(g.all, g.runs(), g.taAll)
 	a.Duration = a.Trace.End()
 	return a, nil
 }
@@ -1285,14 +1318,14 @@ func (g *engine) runs() [][]int {
 		}
 		return runs
 	}
-	backing := make([]int, g.evs.n)
+	backing := make([]int, len(g.all))
 	off := 0
 	for p := range g.ps {
 		runs[p] = backing[off : off : off+g.ps[p].events]
 		off += g.ps[p].events
 	}
-	for i := 0; i < g.evs.n; i++ {
-		p := g.evs.at(i).Proc
+	for i := range g.all {
+		p := g.all[i].Proc
 		runs[p] = append(runs[p], i)
 	}
 	return runs
@@ -1313,8 +1346,10 @@ func (g *engine) flushTelemetry() {
 	if !obs.Enabled() {
 		return
 	}
-	obsAnaRuns.Add(1)
-	obsAnaEvents.Add(int64(g.n))
+	if !g.runCounted {
+		obsAnaRuns.Add(1)
+		obsAnaEvents.Add(int64(g.n))
+	}
 	obsEngineParks.Add(g.parks)
 	obsEngineWakes.Add(g.wakes)
 	obsEngineRedos.Add(g.redos)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -374,5 +375,61 @@ func TestStreamSparseWindows(t *testing.T) {
 	}
 	if approx.Trace.Len() != len(events) {
 		t.Errorf("approximation has %d events, want %d", approx.Trace.Len(), len(events))
+	}
+}
+
+// TestStreamWindowsHighProc: a window's per-processor accumulators cost
+// memory by the processors active in it, not by the largest processor id
+// — a feed on one high processor with every event in a window of its own
+// stays small — and a window with more active processors than its scan
+// limit still reports each one once, in processor order.
+func TestStreamWindowsHighProc(t *testing.T) {
+	cal := instr.Exact(instr.Uniform(3), 50, 80, 30, 40)
+	ev := func(p int, tm trace.Time) trace.Event {
+		return trace.Event{Time: tm, Proc: p, Stmt: 1, Kind: trace.KindCompute, Iter: trace.NoIter, Var: trace.NoVar}
+	}
+	const high = 1<<14 - 1
+	s, err := core.NewStream(cal, core.StreamOptions{Window: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := s.Feed(ctx, []trace.Event{ev(high, 0)}); err != nil {
+		t.Fatal(err)
+	}
+	const n = 200
+	events := make([]trace.Event, n)
+	for i := range events {
+		events[i] = ev(high, trace.Time(100*(i+1)))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := s.Feed(ctx, events); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d > n*4096 {
+		t.Errorf("%d one-event windows on processor %d allocated %d bytes", n, high, d)
+	}
+	if _, err := s.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	// 20 processors in one window, first seen in descending order, each
+	// with p+1 events.
+	var wide []trace.Event
+	for p := 19; p >= 0; p-- {
+		for j := 0; j <= p; j++ {
+			wide = append(wide, ev(p, trace.Time(1000+10*(19-p)+j)))
+		}
+	}
+	win, _ := feedChunks(t, [][]trace.Event{wide}, cal, core.StreamOptions{})
+	if len(win) != 1 || win[0].ActiveProcs != 20 || len(win[0].Procs) != 20 {
+		t.Fatalf("got %d windows, want one with 20 active processors: %+v", len(win), win)
+	}
+	for i, wp := range win[0].Procs {
+		if wp.Proc != i || wp.Events != i+1 {
+			t.Errorf("window processor %d: proc %d with %d events, want proc %d with %d", i, wp.Proc, wp.Events, i, i+1)
+		}
 	}
 }

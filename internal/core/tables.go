@@ -21,11 +21,17 @@ const maxDenseVar = 1 << 12
 // the slice directly.
 const iterBase = 64
 
-// denseSlack is how far past a dense row's end a new iteration may land
-// and still grow the row rather than go to the row's sparse map: rows
-// grow geometrically, so a far-off (sparse or huge) id cannot force a
-// huge allocation.
-const denseSlack = 1024
+// denseFill bounds how sparse a dense pair row may get: a row grows only
+// to a length of at most denseFill*touches + denseMin, where touches
+// counts the creating lookups the row has served (at least one per key,
+// at most a few per event fed). A row's memory therefore stays
+// proportional to the events that reached it, whatever iterations they
+// carry; keys the rule turns away go to the row's map.
+const denseFill = 4
+
+// denseMin is a new dense row's length: the warm-up iterations and the
+// first iterBase iterations, so a loop's keys never start in the map.
+const denseMin = 2 * iterBase
 
 // varSlots maps variable ids to dense row numbers in first-seen order.
 type varSlots struct {
@@ -78,9 +84,10 @@ type pairTable[T any] struct {
 }
 
 type pairRow[T any] struct {
-	dense  []T         // dense[iter+iterBase]
-	sparse map[int]int // iteration -> index into slab
-	slab   []T
+	dense   []T         // dense[iter+iterBase]
+	sparse  map[int]int // iteration -> index into slab
+	slab    []T
+	touches int // creating lookups served
 }
 
 // get returns the record for (v, it), creating it when create is set;
@@ -94,6 +101,9 @@ func (t *pairTable[T]) get(v, it int, create bool) *T {
 		t.rows = append(t.rows, pairRow[T]{})
 	}
 	row := &t.rows[r]
+	if create {
+		row.touches++
+	}
 	i := it + iterBase
 	if i >= 0 && i < len(row.dense) {
 		return &row.dense[i]
@@ -104,8 +114,8 @@ func (t *pairTable[T]) get(v, it int, create bool) *T {
 	if !create {
 		return nil
 	}
-	if i >= 0 && i < 2*len(row.dense)+denseSlack {
-		row.grow(i + 1)
+	if n := max(i+1, 2*len(row.dense), denseMin); i >= 0 && n <= denseFill*row.touches+denseMin {
+		row.grow(n)
 		return &row.dense[i]
 	}
 	if row.sparse == nil {
@@ -117,11 +127,10 @@ func (t *pairTable[T]) get(v, it int, create bool) *T {
 	return &row.slab[len(row.slab)-1]
 }
 
-// grow extends the dense row to at least n slots, moving any sparse
-// records the new range covers so each key lives in exactly one place.
+// grow extends the dense row to n slots, moving any sparse records the
+// new range covers so each key lives in exactly one place.
 func (row *pairRow[T]) grow(n int) {
 	old := len(row.dense)
-	n = max(n, 2*old, 256)
 	grown := make([]T, n)
 	copy(grown, row.dense)
 	row.dense = grown
@@ -226,51 +235,4 @@ func (h *wmHeap) pop() wmPark {
 	}
 	*h = s
 	return top
-}
-
-// storeShift sets the eventStore block size: 4096 events (192 KiB).
-const storeShift = 12
-
-// eventStore holds events by arrival position in fixed-size blocks, so a
-// growing feed is appended without ever copying what it already holds.
-// Over a whole trace the blocks are views into the trace's own events.
-type eventStore struct {
-	blocks [][]trace.Event
-	n      int
-}
-
-// storeOf returns a store viewing events in place.
-func storeOf(events []trace.Event) eventStore {
-	s := eventStore{n: len(events)}
-	for lo := 0; lo < len(events); lo += 1 << storeShift {
-		hi := min(lo+1<<storeShift, len(events))
-		s.blocks = append(s.blocks, events[lo:hi:hi])
-	}
-	return s
-}
-
-func (s *eventStore) at(i int) *trace.Event {
-	return &s.blocks[i>>storeShift][i&(1<<storeShift-1)]
-}
-
-func (s *eventStore) push(e trace.Event) {
-	if s.n&(1<<storeShift-1) == 0 {
-		s.blocks = append(s.blocks, make([]trace.Event, 0, 1<<storeShift))
-	}
-	b := &s.blocks[len(s.blocks)-1]
-	*b = append(*b, e)
-	s.n++
-}
-
-// flat returns the events as one slice: the viewed trace itself when the
-// store is a single view, a copy otherwise.
-func (s *eventStore) flat() []trace.Event {
-	if len(s.blocks) == 1 {
-		return s.blocks[0]
-	}
-	out := make([]trace.Event, 0, s.n)
-	for _, b := range s.blocks {
-		out = append(out, b...)
-	}
-	return out
 }

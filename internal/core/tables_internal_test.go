@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -21,7 +22,7 @@ func TestPairTableMatchesMap(t *testing.T) {
 		case 0:
 			return ids[r.Intn(len(ids))]
 		case 1:
-			return r.Intn(20_000) - iterBase - 10 // reaches past the dense slack
+			return r.Intn(20_000) - iterBase - 10 // reaches past the dense range
 		default:
 			return r.Intn(600) - 70
 		}
@@ -43,5 +44,37 @@ func TestPairTableMatchesMap(t *testing.T) {
 		if rec := tab.get(k.v, k.it, false); rec == nil || rec.seq != seq {
 			t.Fatalf("final get(%d, %d) = %v, want seq %d", k.v, k.it, rec, seq)
 		}
+	}
+}
+
+// TestPairTableMemoryFollowsKeys: a row's memory follows the keys it
+// holds, not their iteration numbers. Iterations that roughly double each
+// time land in the row's map instead of stretching its dense part, while
+// a loop's consecutive iterations stay dense.
+func TestPairTableMemoryFollowsKeys(t *testing.T) {
+	var tab pairTable[advRec]
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	keys := 0
+	for it := 960; it < 1<<22; it = 2*it + it/3 {
+		tab.get(5, it, true).seq = it
+		keys++
+	}
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d > 64<<10 {
+		t.Errorf("%d keys with geometric iterations allocated %d bytes", keys, d)
+	}
+	for it := 960; it < 1<<22; it = 2*it + it/3 {
+		if rec := tab.get(5, it, false); rec == nil || rec.seq != it {
+			t.Fatalf("get(5, %d) = %v, want seq %d", it, rec, it)
+		}
+	}
+
+	var loop pairTable[advRec]
+	for it := -1; it < 100_000; it++ {
+		loop.get(3, it, true).seq = it + 2
+	}
+	if row := &loop.rows[0]; row.sparse != nil || len(row.dense) > 4*(100_000+iterBase) {
+		t.Errorf("consecutive iterations: %d sparse keys, dense length %d", len(row.sparse), len(row.dense))
 	}
 }
