@@ -56,7 +56,7 @@ func TestPairTableMemoryFollowsKeys(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	keys := 0
-	for it := 960; it < 1<<22; it = 2*it + it/3 {
+	for it := 900; it < 1<<22; it = 2*it + 1000 {
 		tab.get(5, it, true).seq = it
 		keys++
 	}
@@ -64,7 +64,7 @@ func TestPairTableMemoryFollowsKeys(t *testing.T) {
 	if d := after.TotalAlloc - before.TotalAlloc; d > 64<<10 {
 		t.Errorf("%d keys with geometric iterations allocated %d bytes", keys, d)
 	}
-	for it := 960; it < 1<<22; it = 2*it + it/3 {
+	for it := 900; it < 1<<22; it = 2*it + 1000 {
 		if rec := tab.get(5, it, false); rec == nil || rec.seq != it {
 			t.Fatalf("get(5, %d) = %v, want seq %d", it, rec, it)
 		}
