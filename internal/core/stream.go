@@ -293,10 +293,7 @@ func newIncEngine(procs int, cal instr.Calibration, opts engineOptions) *engine 
 		sorted:     true,
 	}
 	if opts.fixedProcs {
-		g.ps = make([]procState, procs)
-		for p := range g.ps {
-			g.ps[p].prevSeq = -1
-		}
+		g.growProcs(procs)
 		g.validator = trace.NewEventValidator(procs)
 	} else {
 		g.validator = trace.NewEventValidator(0)
@@ -314,6 +311,18 @@ func (g *engine) setWindows(window, slide trace.Time) {
 }
 
 func (g *engine) procs() int { return len(g.ps) }
+
+// growProcs extends the processor set to n processors in one allocation.
+func (g *engine) growProcs(n int) {
+	old := len(g.ps)
+	if n <= old {
+		return
+	}
+	g.ps = append(g.ps, make([]procState, n-old)...)
+	for p := old; p < n; p++ {
+		g.ps[p].prevSeq = -1
+	}
+}
 
 // analyze runs the engine over a whole trace: feed everything, then
 // close.
@@ -335,14 +344,12 @@ func (g *engine) feedAll(ctx context.Context, events []trace.Event) error {
 		if p < 0 || (g.opts.fixedProcs && p >= len(counts)) {
 			continue // rejected by validation when reached
 		}
-		for p >= len(counts) {
-			counts = append(counts, 0)
+		if p >= len(counts) {
+			counts = append(counts, make([]int, p+1-len(counts))...)
 		}
 		counts[p]++
 	}
-	for len(g.ps) < len(counts) {
-		g.ps = append(g.ps, procState{prevSeq: -1})
-	}
+	g.growProcs(len(counts))
 	backing := make([]int, len(events))
 	off := 0
 	for p, c := range counts {
@@ -399,8 +406,8 @@ func (g *engine) feedOne(ctx context.Context, e *trace.Event) error {
 			g.wake(int(w.proc), w.gen)
 		}
 	}
-	for e.Proc >= len(g.ps) {
-		g.ps = append(g.ps, procState{prevSeq: -1})
+	if e.Proc >= len(g.ps) {
+		g.growProcs(e.Proc + 1)
 	}
 	ps := &g.ps[e.Proc]
 	ps.events++
@@ -1245,9 +1252,7 @@ func (g *engine) redo(ctx context.Context) (*Approximation, error) {
 	g2.nested = true
 	if !opts.fixedProcs {
 		// Keep the discovered processor count.
-		for len(g2.ps) < len(g.ps) {
-			g2.ps = append(g2.ps, procState{prevSeq: -1})
-		}
+		g2.growProcs(len(g.ps))
 	}
 	g2.setWindows(g.window, g.slide)
 	a, err := g2.analyze(ctx, g.all)

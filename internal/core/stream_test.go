@@ -378,11 +378,13 @@ func TestStreamSparseWindows(t *testing.T) {
 	}
 }
 
-// TestStreamWindowsHighProc: a window's per-processor accumulators cost
-// memory by the processors active in it, not by the largest processor id
-// — a feed on one high processor with every event in a window of its own
-// stays small — and a window with more active processors than its scan
-// limit still reports each one once, in processor order.
+// TestStreamWindowsHighProc: a session that discovers a high processor
+// id sizes its processor set once, and a window's per-processor
+// accumulators cost memory by the processors active in it, not by the
+// largest processor id — a feed on one high processor with every event
+// in a window of its own stays small. A window with more active
+// processors than its scan limit still reports each one once, in
+// processor order.
 func TestStreamWindowsHighProc(t *testing.T) {
 	cal := instr.Exact(instr.Uniform(3), 50, 80, 30, 40)
 	ev := func(p int, tm trace.Time) trace.Event {
@@ -394,15 +396,20 @@ func TestStreamWindowsHighProc(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	if err := s.Feed(ctx, []trace.Event{ev(high, 0)}); err != nil {
 		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d > (high+1)*256 {
+		t.Errorf("discovering processor %d allocated %d bytes", high, d)
 	}
 	const n = 200
 	events := make([]trace.Event, n)
 	for i := range events {
 		events[i] = ev(high, trace.Time(100*(i+1)))
 	}
-	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	if err := s.Feed(ctx, events); err != nil {
 		t.Fatal(err)
